@@ -41,18 +41,7 @@ CellResult RunOne(int interval_seconds, bool delta, bool want_obs) {
   CellResult cell;
   PPA_CHECK(job.recovery_reports().size() == 1);
   cell.recovery_seconds = job.recovery_reports()[0].TotalLatency().seconds();
-  double ratio = 0;
-  int counted = 0;
-  for (OperatorId op :
-       {workload->o1, workload->o2, workload->o3, workload->o4}) {
-    for (TaskId t : workload->topo.op(op).tasks) {
-      if (job.ProcessingCostUs(t) > 0) {
-        ratio += job.CheckpointCostUs(t) / job.ProcessingCostUs(t);
-        ++counted;
-      }
-    }
-  }
-  cell.cpu_ratio = counted > 0 ? ratio / counted : 0.0;
+  cell.cpu_ratio = bench::CheckpointCpuRatio(job, *workload);
   if (want_obs) {
     cell.metrics = obs::MetricsToJson(job.metrics());
     cell.chrome_trace = bench::JobChromeTrace(job);

@@ -243,6 +243,24 @@ class FlightRecordSink {
   JsonValue record_;
 };
 
+/// Fig. 9's checkpoint-to-processing CPU ratio of a Fig. 6 workload run:
+/// the per-task ratio averaged over the processing tasks (O1..O4) that
+/// did any work, 0 when none did.
+inline double CheckpointCpuRatio(const StreamingJob& job,
+                                 const SyntheticRecoveryWorkload& workload) {
+  double ratio = 0.0;
+  int counted = 0;
+  for (OperatorId op : {workload.o1, workload.o2, workload.o3, workload.o4}) {
+    for (TaskId t : workload.topo.op(op).tasks) {
+      if (job.ProcessingCostUs(t) > 0) {
+        ratio += job.CheckpointCostUs(t) / job.ProcessingCostUs(t);
+        ++counted;
+      }
+    }
+  }
+  return counted > 0 ? ratio / counted : 0.0;
+}
+
 /// Chrome/Perfetto trace of a live job, with task ids labeled through
 /// the job's topology (drop-in argument for ChromeTraceSink::Capture).
 inline JsonValue JobChromeTrace(const StreamingJob& job) {
@@ -332,17 +350,7 @@ inline StatusOr<Fig6Result> RunFig6Once(const Fig6Options& options) {
     result.active_latency = report.ActiveLatency();
     result.passive_latency = report.PassiveLatency();
   }
-  double ratio = 0.0;
-  int counted = 0;
-  for (OperatorId op : {workload.o1, workload.o2, workload.o3, workload.o4}) {
-    for (TaskId t : workload.topo.op(op).tasks) {
-      if (job.ProcessingCostUs(t) > 0) {
-        ratio += job.CheckpointCostUs(t) / job.ProcessingCostUs(t);
-        ++counted;
-      }
-    }
-  }
-  result.checkpoint_cpu_ratio = counted > 0 ? ratio / counted : 0.0;
+  result.checkpoint_cpu_ratio = CheckpointCpuRatio(job, workload);
   result.metrics = obs::MetricsToJson(job.metrics());
   result.chrome_trace = JobChromeTrace(job);
   const Topology* topo = &job.topology();

@@ -126,6 +126,16 @@ JsonValue TraceStatsToJson(const TraceLog& trace) {
   return out;
 }
 
+JsonValue FlightRecordToJson(const TraceLog& ring,
+                             const TaskLabeler& labeler) {
+  JsonValue out = JsonValue::Object();
+  out.Set("capacity", static_cast<int64_t>(ring.capacity()));
+  out.Set("dropped", static_cast<int64_t>(ring.dropped()));
+  out.Set("recorded", static_cast<int64_t>(ring.size() + ring.dropped()));
+  out.Set("events", TraceToJson(ring, labeler));
+  return out;
+}
+
 JsonValue SpansToJson(const SpanProfiler& spans, const TaskLabeler& labeler) {
   JsonValue out = JsonValue::Array();
   for (const Span& span : spans.spans()) {

@@ -45,6 +45,17 @@ JsonValue TentativeWindowsToJson(const std::vector<TentativeWindow>& windows);
 /// a truncated history.
 JsonValue TraceStatsToJson(const TraceLog& trace);
 
+/// A flight record — the always-on bounded ring of a run's newest trace
+/// events, fed as the mirror of its main TraceLog (TraceLog::set_mirror)
+/// so it records even with observability off:
+/// {"capacity":..,"dropped":..,"recorded":..,"events":[...]} where
+/// `recorded` counts every event ever fed to the ring (retained +
+/// dropped) and `events` is the retained tail in TraceToJson shape.
+/// Contains only sim-time data, so identical runs serialize
+/// byte-identically.
+JsonValue FlightRecordToJson(const TraceLog& ring,
+                             const TaskLabeler& labeler = nullptr);
+
 /// Array of {"category":..,"task":..,"begin_s":..,"end_s":..,
 /// "total_s":..,"self_s":..,"depth":..} in span-open order.
 JsonValue SpansToJson(const SpanProfiler& spans,

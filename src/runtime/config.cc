@@ -37,9 +37,6 @@ Status JobConfig::Validate() const {
   if (max_delta_chain < 1) {
     return InvalidArgument("max_delta_chain must be at least 1");
   }
-  if (flight_recorder_capacity < 0) {
-    return InvalidArgument("flight_recorder_capacity must be non-negative");
-  }
   if (recovery_mode == af::RecoveryMode::kApprox &&
       ft_mode != FtMode::kCheckpoint && ft_mode != FtMode::kPpa) {
     return InvalidArgument(

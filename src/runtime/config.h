@@ -85,22 +85,11 @@ struct JobConfig {
   bool delta_checkpoints = false;
   int max_delta_chain = 8;
 
-  /// Generate tentative outputs (batch-over punctuations on behalf of
-  /// failed tasks) once a failure is detected. Forced on for kPpa; the
-  /// pure baselines of Sec. VI-A block instead.
-  bool tentative_outputs = false;
-
   /// Record metrics and sim-time trace events (src/obs/) while the job
   /// runs. Recording is write-only — it never feeds back into
   /// scheduling — so disabling it must not change any simulation output
   /// (tests/obs_test.cc pins this).
   bool observability = true;
-
-  /// Size of the always-on flight-recorder ring (the bounded post-mortem
-  /// tail of trace events that keeps recording even with `observability`
-  /// off — see obs::FlightRecorder). 0 disables it. Like the trace, the
-  /// recorder is write-only and never affects simulation output.
-  int flight_recorder_capacity = 256;
 
   /// Checks the configuration for values the simulation cannot run with:
   /// non-positive batch/detection/checkpoint/replica-sync intervals,
@@ -119,8 +108,8 @@ struct JobConfig {
   /// processing ratios. Benchmarks and tests start from this preset.
   [[nodiscard]] static JobConfig CheckpointDefaults();
 
-  /// CheckpointDefaults() with `ft_mode = kPpa` (tentative outputs are
-  /// forced on by StreamingJob for that mode).
+  /// CheckpointDefaults() with `ft_mode = kPpa` (the mode whose passive
+  /// recoveries generate tentative outputs).
   [[nodiscard]] static JobConfig PpaDefaults();
 };
 

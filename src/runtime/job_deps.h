@@ -22,9 +22,13 @@ struct JobRuntimeDeps {
   backend::ExecutionBackend* backend = nullptr;
 
   /// The node pool the job schedules onto. Null means "private cluster":
-  /// the job builds its own pool from the config's cluster-shape fields.
-  /// A shared pool (multi-tenant ClusterService) makes node liveness,
-  /// domains, and load common to every job constructed over it.
+  /// the job builds its own pool from the config's cluster-shape fields,
+  /// and its Start() attaches the job's metrics registry and span
+  /// profiler to the backend (the sim then publishes loop counters and
+  /// brackets drives in sim-run root spans). A shared pool (multi-tenant
+  /// ClusterService) makes node liveness, domains, and load common to
+  /// every job constructed over it; those jobs share the backend as well
+  /// and never attach to it.
   std::shared_ptr<NodePool> pool;
 
   /// The backend strand the job's events run on. One job must stay on
@@ -34,19 +38,9 @@ struct JobRuntimeDeps {
   /// pool on a single strand so their interleaving matches the sim.
   uint64_t strand = kAutoStrand;
 
-  /// Whether Start() attaches the job's metrics registry and span
-  /// profiler to the backend (the sim then publishes loop counters and
-  /// brackets drives in sim-run root spans). On by default; a job
-  /// sharing its backend with others may opt out to keep another job's
-  /// registry attached.
-  bool attach_backend_observability = true;
-
   JobRuntimeDeps() = default;
   /// Private cluster on a fresh strand — the common single-job spelling.
   explicit JobRuntimeDeps(backend::ExecutionBackend* b) : backend(b) {}
-  /// Shared-pool tenant on a fresh strand.
-  JobRuntimeDeps(backend::ExecutionBackend* b, std::shared_ptr<NodePool> p)
-      : backend(b), pool(std::move(p)) {}
   /// Shared-pool tenant pinned to an explicit strand (ClusterService).
   JobRuntimeDeps(backend::ExecutionBackend* b, std::shared_ptr<NodePool> p,
                  uint64_t s)

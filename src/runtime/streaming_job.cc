@@ -24,12 +24,16 @@ std::string_view FtModeToString(FtMode mode) {
   return "?";
 }
 
-Duration RecoveryReport::ActiveLatency() const {
+namespace {
+
+/// Latest scheduled completion among the report's tasks recovered from an
+/// active replica (`active`) or passively (`!active`).
+Duration MaxCompletion(const RecoveryReport& report, bool active) {
   Duration max = Duration::Zero();
-  for (const TaskRecoverySpec& spec : specs) {
-    if (spec.kind == RecoveryKind::kActiveReplica) {
-      auto it = schedule.completion.find(spec.task);
-      if (it != schedule.completion.end()) {
+  for (const TaskRecoverySpec& spec : report.specs) {
+    if ((spec.kind == RecoveryKind::kActiveReplica) == active) {
+      auto it = report.schedule.completion.find(spec.task);
+      if (it != report.schedule.completion.end()) {
         max = std::max(max, it->second);
       }
     }
@@ -37,17 +41,24 @@ Duration RecoveryReport::ActiveLatency() const {
   return max;
 }
 
-Duration RecoveryReport::PassiveLatency() const {
-  Duration max = Duration::Zero();
-  for (const TaskRecoverySpec& spec : specs) {
-    if (spec.kind != RecoveryKind::kActiveReplica) {
-      auto it = schedule.completion.find(spec.task);
-      if (it != schedule.completion.end()) {
-        max = std::max(max, it->second);
-      }
-    }
+/// Loads a persisted checkpoint chain into `rt`: the full base snapshot,
+/// then every delta on top of it.
+Status RestoreChain(const std::vector<TaskCheckpoint>& chain, TaskRuntime* rt) {
+  PPA_RETURN_IF_ERROR(rt->Restore(chain[0].blob));
+  for (size_t i = 1; i < chain.size(); ++i) {
+    PPA_RETURN_IF_ERROR(rt->ApplyDelta(chain[i].blob));
   }
-  return max;
+  return OkStatus();
+}
+
+}  // namespace
+
+Duration RecoveryReport::ActiveLatency() const {
+  return MaxCompletion(*this, /*active=*/true);
+}
+
+Duration RecoveryReport::PassiveLatency() const {
+  return MaxCompletion(*this, /*active=*/false);
 }
 
 StreamingJob::StreamingJob(Topology topology, JobConfig config,
@@ -57,24 +68,18 @@ StreamingJob::StreamingJob(Topology topology, JobConfig config,
       backend_(deps.backend),
       strand_(deps.strand == kAutoStrand ? deps.backend->NewStrand()
                                          : deps.strand),
-      attach_backend_observability_(deps.attach_backend_observability),
+      owns_pool_(deps.pool == nullptr),
       router_(&topology_),
       cluster_(deps.pool != nullptr
                    ? std::move(deps.pool)
                    : std::make_shared<NodePool>(config.num_worker_nodes,
                                                 config.num_standby_nodes)),
-      active_set_(topology_.num_tasks()),
-      flight_(config.flight_recorder_capacity > 0
-                  ? static_cast<size_t>(config.flight_recorder_capacity)
-                  : 0) {
+      active_set_(topology_.num_tasks()) {
   // A shared pool defines the real cluster shape; keep the config's view
   // of it consistent (Start() checks num_standby_nodes, for example).
   config_.num_worker_nodes = cluster_.num_workers();
   config_.num_standby_nodes = cluster_.num_standbys();
   PPA_CHECK_OK(config_.Validate());
-  if (config_.ft_mode == FtMode::kPpa) {
-    config_.tentative_outputs = true;
-  }
   op_factories_.resize(static_cast<size_t>(topology_.num_operators()));
   source_factories_.resize(static_cast<size_t>(topology_.num_operators()));
   processing_us_.assign(static_cast<size_t>(topology_.num_tasks()), 0.0);
@@ -90,9 +95,8 @@ void StreamingJob::InitObservability() {
   // The flight recorder mirrors the trace *before* the observability
   // gate: the bounded post-mortem ring keeps recording even when the
   // full trace is off.
-  if (flight_.enabled()) {
-    trace_.set_mirror(&flight_.ring());
-  }
+  flight_.set_capacity(kFlightRecordCapacity);
+  trace_.set_mirror(&flight_);
   spans_.set_enabled(config_.observability);
   fidelity_.set_enabled(config_.observability);
   m_sink_task_latency_stable_.assign(
@@ -248,18 +252,9 @@ Status StreamingJob::Start() {
 
   // Placement: keep any pins made through cluster() before Start; fill the
   // rest round-robin.
-  bool any_unplaced = false;
   for (TaskId t = 0; t < topology_.num_tasks(); ++t) {
     if (cluster_.NodeOfPrimary(t) < 0) {
-      any_unplaced = true;
-    }
-  }
-  if (any_unplaced) {
-    for (TaskId t = 0; t < topology_.num_tasks(); ++t) {
-      if (cluster_.NodeOfPrimary(t) < 0) {
-        PPA_RETURN_IF_ERROR(
-            cluster_.PlacePrimary(t, t % cluster_.num_workers()));
-      }
+      PPA_RETURN_IF_ERROR(cluster_.PlacePrimary(t, t % cluster_.num_workers()));
     }
   }
   for (TaskId t : active_set_.ToVector()) {
@@ -270,7 +265,10 @@ Status StreamingJob::Start() {
   }
 
   started_ = true;
-  if (config_.observability && attach_backend_observability_) {
+  // Only a job that owns its cluster owns its backend: tenants of a shared
+  // pool share the backend too, and one tenant's registry and profiler
+  // must not replace another's mid-drive.
+  if (config_.observability && owns_pool_) {
     backend_->AttachMetrics(&metrics_);
     backend_->AttachSpans(&spans_);
   }
@@ -405,17 +403,12 @@ StatusOr<Topology> StreamingJob::ObservedTopology() {
 
 Status StreamingJob::ActivateReplica(TaskId t) {
   std::unique_ptr<TaskRuntime> rep = MakeRuntime(t);
-  const std::vector<TaskCheckpoint>* chain = checkpoints_.Chain(t);
-  if (chain != nullptr) {
+  if (const auto* chain = checkpoints_.Chain(t); chain != nullptr) {
     // "Send the corresponding checkpoint to the destination node and
     // initialize the replica's state with it" (Sec. V-C); the replica then
     // catches up from the upstream output buffers, which the checkpoint
     // trimming protocol guarantees still cover everything past the chain.
-    // The chain's base is a full snapshot; later elements are deltas.
-    PPA_RETURN_IF_ERROR(rep->Restore((*chain)[0].blob));
-    for (size_t i = 1; i < chain->size(); ++i) {
-      PPA_RETURN_IF_ERROR(rep->ApplyDelta((*chain)[i].blob));
-    }
+    PPA_RETURN_IF_ERROR(RestoreChain(*chain, rep.get()));
   } else {
     // No checkpoint yet: direct state transfer from the primary.
     PPA_ASSIGN_OR_RETURN(std::string blob,
@@ -584,14 +577,14 @@ bool StreamingJob::CanProcess(TaskId t, int64_t b) const {
   return true;
 }
 
-std::vector<Tuple> StreamingJob::GatherInputs(TaskId t, int64_t b,
-                                              bool* punctured,
-                                              BatchRunContext* ctx) {
+std::vector<Tuple> StreamingJob::GatherInputs(
+    const std::vector<std::unique_ptr<TaskRuntime>>& producers, TaskId t,
+    int64_t b, bool* punctured, BatchRunContext* ctx) {
   std::vector<Tuple> inputs;
   const OperatorId to_op = topology_.task(t).op;
   for (int si : topology_.task(t).in_substreams) {
     const Substream& s = topology_.substreams()[si];
-    const TaskRuntime* up = primaries_[static_cast<size_t>(s.from)].get();
+    const TaskRuntime* up = producers[static_cast<size_t>(s.from)].get();
     const BatchOutput* bo = up->FindBatch(b);
     if (bo == nullptr) {
       if (!up->alive() || up->ever_failed()) {
@@ -599,10 +592,8 @@ std::vector<Tuple> StreamingJob::GatherInputs(TaskId t, int64_t b,
       }
       continue;
     }
-    if (ctx != nullptr) {
-      ctx->ingest_at = std::min(ctx->ingest_at, bo->ingest_at);
-      ctx->hops = std::max(ctx->hops, bo->hops + 1);
-    }
+    ctx->ingest_at = std::min(ctx->ingest_at, bo->ingest_at);
+    ctx->hops = std::max(ctx->hops, bo->hops + 1);
     router_.RouteBatchTo(s.from, to_op, *bo, t, &inputs);
   }
   return inputs;
@@ -628,7 +619,7 @@ bool StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica) {
     ctx.replay = !is_replica && catching_up_.count(t) > 0;
     std::vector<Tuple> inputs;
     if (!rt->is_source()) {
-      inputs = GatherInputs(t, b, &punctured, &ctx);
+      inputs = GatherInputs(primaries_, t, b, &punctured, &ctx);
     }
     const size_t in_count = inputs.size();
     const BatchOutput& out = rt->RunBatch(b, std::move(inputs), true, ctx);
@@ -654,19 +645,7 @@ bool StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica) {
         degraded_batches_.insert(b);
       }
       if (topology_.IsSinkTask(t)) {
-        // Batches replayed by a recovered sink were already delivered to
-        // the user before the failure; suppress the duplicates.
-        if (b > sink_recorded_until_[static_cast<size_t>(t)]) {
-          const bool tentative =
-              punctured || degraded_batches_.count(b) > 0;
-          for (const Tuple& tuple : out.tuples) {
-            sink_records_.push_back(SinkRecord{
-                tuple, tentative, backend_->now(), false, out.ingest_at});
-          }
-          sink_recorded_until_[static_cast<size_t>(t)] = b;
-          RecordSinkBatch(t, b, static_cast<int64_t>(out.tuples.size()),
-                          tentative, out.ingest_at, out.hops);
-        }
+        DeliverSinkBatch(t, out);
         // Sinks have no subscribers; their buffer is not needed for
         // replay.
         rt->TrimOutputBuffer(b);
@@ -677,21 +656,38 @@ bool StreamingJob::TryAdvance(TaskRuntime* rt, bool is_replica) {
   return advanced;
 }
 
-void StreamingJob::RecordSinkBatch(TaskId t, int64_t batch, int64_t tuples,
-                                   bool tentative, TimePoint ingest_at,
-                                   int32_t hops) {
+void StreamingJob::DeliverSinkBatch(TaskId t, const BatchOutput& bo) {
+  // Batches replayed by a recovered sink were already delivered to the
+  // user before the failure; suppress the duplicates.
+  int64_t& delivered_until = sink_recorded_until_[static_cast<size_t>(t)];
+  if (bo.batch <= delivered_until) {
+    return;
+  }
+  const bool tentative = degraded_batches_.count(bo.batch) > 0;
+  for (const Tuple& tuple : bo.tuples) {
+    sink_records_.push_back(
+        SinkRecord{tuple, tentative, backend_->now(), false, bo.ingest_at});
+  }
+  delivered_until = bo.batch;
+  RecordSinkBatch(t, bo, tentative);
+}
+
+void StreamingJob::RecordSinkBatch(TaskId t, const BatchOutput& bo,
+                                   bool tentative) {
+  const int64_t batch = bo.batch;
+  const int64_t tuples = static_cast<int64_t>(bo.tuples.size());
   obs::Add(m_sink_records_, tuples);
   if (tentative) {
     obs::Add(m_sink_tentative_, tuples);
   }
-  const double latency_s = (backend_->now() - ingest_at).seconds();
+  const double latency_s = (backend_->now() - bo.ingest_at).seconds();
   obs::Observe(tentative ? m_sink_latency_tentative_ : m_sink_latency_stable_,
                latency_s);
   obs::Observe(tentative
                    ? m_sink_task_latency_tentative_[static_cast<size_t>(t)]
                    : m_sink_task_latency_stable_[static_cast<size_t>(t)],
                latency_s);
-  obs::Observe(m_sink_lineage_hops_, static_cast<double>(hops));
+  obs::Observe(m_sink_lineage_hops_, static_cast<double>(bo.hops));
   trace_.Record(backend_->now(),
                 tentative ? obs::TraceEventKind::kSinkBatchTentative
                           : obs::TraceEventKind::kSinkBatchStable,
@@ -980,12 +976,9 @@ void StreamingJob::OnDetection() {
     for (TaskId t : undetected_failures_) {
       TaskRecoverySpec spec;
       spec.task = t;
+      // Replicas only exist under kActiveReplication and kPpa.
       TaskRuntime* rep = replica(t);
-      const bool active_available =
-          rep != nullptr && rep->alive() &&
-          (config_.ft_mode == FtMode::kActiveReplication ||
-           config_.ft_mode == FtMode::kPpa);
-      if (active_available) {
+      if (rep != nullptr && rep->alive()) {
         spec.kind = RecoveryKind::kActiveReplica;
         spec.resend_tuples = rep->BufferedTuples();
       } else if (config_.ft_mode == FtMode::kSourceReplay ||
@@ -1035,7 +1028,9 @@ void StreamingJob::OnDetection() {
     }
     for (const TaskRecoverySpec& spec : report.specs) {
       recovering_[spec.task] = spec.kind;
-      if (config_.tentative_outputs &&
+      // Tentative outputs (Sec. V-B) are PPA's; the pure baselines of
+      // Sec. VI-A block instead.
+      if (config_.ft_mode == FtMode::kPpa &&
           spec.kind != RecoveryKind::kActiveReplica) {
         punctured_tasks_.insert(spec.task);
       }
@@ -1090,18 +1085,7 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
         // the replica's buffered outputs from there on (the takeover
         // "resend buffered tuples" of Sec. V-B, here to the end user).
         for (const BatchOutput& bo : rep->output_buffer()) {
-          if (bo.batch <= sink_recorded_until_[static_cast<size_t>(t)]) {
-            continue;
-          }
-          const bool tentative = degraded_batches_.count(bo.batch) > 0;
-          for (const Tuple& tuple : bo.tuples) {
-            sink_records_.push_back(SinkRecord{
-                tuple, tentative, backend_->now(), false, bo.ingest_at});
-          }
-          sink_recorded_until_[static_cast<size_t>(t)] = bo.batch;
-          RecordSinkBatch(t, bo.batch,
-                          static_cast<int64_t>(bo.tuples.size()), tentative,
-                          bo.ingest_at, bo.hops);
+          DeliverSinkBatch(t, bo);
         }
         rep->TrimOutputBuffer(frontier_);
       }
@@ -1120,12 +1104,8 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
     }
     case RecoveryKind::kCheckpoint: {
       TaskRuntime* rt = primaries_[static_cast<size_t>(t)].get();
-      const std::vector<TaskCheckpoint>* chain = checkpoints_.Chain(t);
-      if (chain != nullptr) {
-        PPA_CHECK_OK(rt->Restore((*chain)[0].blob));
-        for (size_t i = 1; i < chain->size(); ++i) {
-          PPA_CHECK_OK(rt->ApplyDelta((*chain)[i].blob));
-        }
+      if (const auto* chain = checkpoints_.Chain(t); chain != nullptr) {
+        PPA_CHECK_OK(RestoreChain(*chain, rt));
       } else {
         rt->Reset(0);
       }
@@ -1217,7 +1197,6 @@ Status StreamingJob::NotifyNodeFailed(int node) {
   }
   obs::Add(m_node_failures_);
   last_failure_time_ = backend_->now();
-  last_failure_batch_ = frontier_;
   int64_t primaries_lost = 0;
   for (TaskId t : cluster_.PrimariesOn(node)) {
     if (primaries_[static_cast<size_t>(t)]->alive()) {
@@ -1417,22 +1396,13 @@ StatusOr<ReconciliationReport> StreamingJob::ReconcileTentativeOutputs(
     for (OperatorId op : topology_.topo_order()) {
       for (TaskId t : topology_.op(op).tasks) {
         TaskRuntime* rt = shadow[static_cast<size_t>(t)].get();
-        std::vector<Tuple> inputs;
         BatchRunContext ctx;
         ctx.now = backend_->now();
         ctx.ingest_at = BatchTickTime(b);
-        const OperatorId to_op = topology_.task(t).op;
-        for (int si : topology_.task(t).in_substreams) {
-          const Substream& sub = topology_.substreams()[si];
-          const BatchOutput* bo =
-              shadow[static_cast<size_t>(sub.from)]->FindBatch(b);
-          if (bo == nullptr) {
-            continue;  // Upstream warm-up started later than needed.
-          }
-          ctx.ingest_at = std::min(ctx.ingest_at, bo->ingest_at);
-          ctx.hops = std::max(ctx.hops, bo->hops + 1);
-          router_.RouteBatchTo(sub.from, to_op, *bo, t, &inputs);
-        }
+        // Shadow runtimes never fail, so their gather is never punctured.
+        bool punctured = false;
+        std::vector<Tuple> inputs =
+            GatherInputs(shadow, t, b, &punctured, &ctx);
         const size_t in_count = inputs.size();
         const BatchOutput& out = rt->RunBatch(b, std::move(inputs), true, ctx);
         report.reprocessed_tuples +=

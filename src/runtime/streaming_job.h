@@ -17,7 +17,6 @@
 #include "ft/checkpoint.h"
 #include "ft/recovery_model.h"
 #include "obs/fidelity_timeseries.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
@@ -281,11 +280,10 @@ class StreamingJob {
   const obs::FidelityTimeseries& fidelity_timeseries() const {
     return fidelity_;
   }
-  /// The always-on bounded post-mortem ring: the last
-  /// config().flight_recorder_capacity trace events, recorded even when
-  /// config().observability is false (chaos repros and crash dumps read
-  /// this). Empty when the capacity is 0.
-  const obs::FlightRecorder& flight_recorder() const { return flight_; }
+  /// The always-on bounded post-mortem ring: the last 256 trace events,
+  /// recorded even when config().observability is false (chaos repros
+  /// and crash dumps read this; obs::FlightRecordToJson dumps it).
+  const obs::TraceLog& flight_recorder() const { return flight_; }
 
   /// Cumulative normal-processing CPU microseconds of a task.
   double ProcessingCostUs(TaskId t) const {
@@ -313,12 +311,14 @@ class StreamingJob {
   /// True if every upstream of `t` is resolved for batch `b` (data
   /// present, already produced-and-skipped, or punctuation-substituted).
   bool CanProcess(TaskId t, int64_t b) const;
-  /// Collects the batch-`b` tuples routed to `t`; sets *punctured if any
-  /// upstream contributed a punctuation instead of data. Folds the
-  /// upstream batches' latency lineage into `ctx` (earliest ingest,
-  /// max hops + 1) when non-null.
-  std::vector<Tuple> GatherInputs(TaskId t, int64_t b, bool* punctured,
-                                  BatchRunContext* ctx);
+  /// Collects the batch-`b` tuples routed to `t` from the `producers`
+  /// runtimes (the live primaries, or reconciliation's shadow runtimes);
+  /// sets *punctured if a failed upstream contributed a punctuation
+  /// instead of data. Folds the upstream batches' latency lineage into
+  /// `ctx` (earliest ingest, max hops + 1).
+  std::vector<Tuple> GatherInputs(
+      const std::vector<std::unique_ptr<TaskRuntime>>& producers, TaskId t,
+      int64_t b, bool* punctured, BatchRunContext* ctx);
 
   /// Nominal source tick time of batch `b` (lineage stamp for sources
   /// and punctuation-fed batches).
@@ -352,13 +352,17 @@ class StreamingJob {
   /// config_.observability is false: every handle stays nullptr and the
   /// trace is disabled).
   void InitObservability();
+  /// Delivers one output batch of sink task `t` to the user — appends its
+  /// SinkRecords (tentative iff the batch is degraded) and books it via
+  /// RecordSinkBatch — unless the batch was already delivered (a
+  /// recovered sink replaying old batches).
+  void DeliverSinkBatch(TaskId t, const BatchOutput& bo);
   /// Books one delivered sink batch: counters, end-to-end latency
   /// histograms (stable vs. tentative, aggregate and per sink task), the
   /// stable/tentative trace event, the tentative-window open/close
   /// transitions, and — while a window is open — one OF/IC fidelity
   /// sample.
-  void RecordSinkBatch(TaskId t, int64_t batch, int64_t tuples,
-                       bool tentative, TimePoint ingest_at, int32_t hops);
+  void RecordSinkBatch(TaskId t, const BatchOutput& bo, bool tentative);
   /// Emits kTaskCaughtUp for recovered tasks that reached the frontier.
   void NoteCaughtUpTasks();
 
@@ -384,8 +388,9 @@ class StreamingJob {
   backend::ExecutionBackend* backend_;
   /// The one strand all of this job's events run on (see class comment).
   uint64_t strand_;
-  /// Whether Start() attaches metrics_/spans_ to the backend.
-  bool attach_backend_observability_;
+  /// The job built its own node pool (JobRuntimeDeps::pool was null);
+  /// only then does Start() attach metrics_/spans_ to the backend.
+  bool owns_pool_;
   Router router_;
   Cluster cluster_;
   CheckpointStore checkpoints_;
@@ -409,7 +414,6 @@ class StreamingJob {
   /// Batches that were processed with at least one punctuation.
   std::set<int64_t> degraded_batches_;
   TimePoint last_failure_time_;
-  int64_t last_failure_batch_ = -1;
 
   std::vector<SinkRecord> sink_records_;
   /// Per-task highest batch already delivered to the user (duplicate
@@ -450,10 +454,10 @@ class StreamingJob {
   /// obs::Add/Set/Observe helpers make every call site null-safe.
   obs::MetricsRegistry metrics_;
   obs::TraceLog trace_;
-  /// Always-on bounded tail of trace_ (fed as its mirror), sized by
-  /// config_.flight_recorder_capacity. Unlike everything else here it is
-  /// NOT gated by config_.observability.
-  obs::FlightRecorder flight_;
+  /// Always-on bounded tail of trace_ (attached as its mirror). Unlike
+  /// everything else here it is NOT gated by config_.observability.
+  static constexpr size_t kFlightRecordCapacity = 256;
+  obs::TraceLog flight_;
   obs::SpanProfiler spans_;
   obs::FidelityTimeseries fidelity_;
   /// A tentative-output window is open (kTentativeWindowBegin emitted,

@@ -13,7 +13,6 @@
 #include "backend/sim_backend.h"
 #include "engine/operators.h"
 #include "obs/export.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -195,17 +194,16 @@ TEST(MetricsTest, RecordingOrderDoesNotChangeTheHistogram) {
 }
 
 TEST(FlightRecorderTest, RingWrapKeepsTheNewestEvents) {
-  obs::FlightRecorder recorder(4);
-  ASSERT_TRUE(recorder.enabled());
-  EXPECT_EQ(recorder.capacity(), 4u);
+  obs::TraceLog ring;
+  ring.set_capacity(4);
   for (int i = 0; i < 10; ++i) {
-    recorder.ring().Record(TimePoint::Zero() + Duration::Seconds(i),
-                           TraceEventKind::kTaskFailed, i, 0);
+    ring.Record(TimePoint::Zero() + Duration::Seconds(i),
+                TraceEventKind::kTaskFailed, i, 0);
   }
-  EXPECT_EQ(recorder.size(), 4u);
-  EXPECT_EQ(recorder.dropped(), 6u);
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(ring.dropped(), 6u);
   // The retained tail is the newest four, oldest first.
-  const auto& events = recorder.ring().events();
+  const auto& events = ring.events();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events.front().task, 6);
   EXPECT_EQ(events.back().task, 9);
@@ -215,40 +213,29 @@ TEST(FlightRecorderTest, MirrorRecordsEvenWithTheTraceDisabled) {
   // The always-on property: the main trace is off (observability
   // disabled), yet its mirror — the flight-recorder ring — still sees
   // every Record call.
-  obs::FlightRecorder recorder(8);
+  obs::TraceLog ring;
+  ring.set_capacity(8);
   obs::TraceLog trace;
   trace.set_enabled(false);
-  trace.set_mirror(&recorder.ring());
+  trace.set_mirror(&ring);
   trace.Record(TimePoint::Zero(), TraceEventKind::kNodeFailure, -1, 2);
   trace.Record(TimePoint::Zero() + Duration::Seconds(1),
                TraceEventKind::kTaskFailed, 5, 2);
   EXPECT_EQ(trace.size(), 0u);
-  EXPECT_EQ(recorder.size(), 2u);
-  EXPECT_EQ(recorder.ring().events()[1].task, 5);
-}
-
-TEST(FlightRecorderTest, ZeroCapacityDisablesRecording) {
-  obs::FlightRecorder recorder(0);
-  EXPECT_FALSE(recorder.enabled());
-  recorder.ring().Record(TimePoint::Zero(), TraceEventKind::kNodeFailure);
-  EXPECT_EQ(recorder.size(), 0u);
-  EXPECT_EQ(recorder.dropped(), 0u);
-  // The dump degrades to a valid empty record, not an error.
-  JsonValue dump = obs::FlightRecordToJson(recorder);
-  EXPECT_EQ(dump.Find("recorded")->AsInt(), 0);
-  EXPECT_EQ(dump.Find("events")->size(), 0u);
+  EXPECT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.events()[1].task, 5);
 }
 
 TEST(FlightRecorderTest, DumpIsByteIdenticalForIdenticalRuns) {
-  auto feed = [](obs::FlightRecorder* recorder) {
+  auto feed = [](obs::TraceLog* ring) {
+    ring->set_capacity(4);
     for (int i = 0; i < 7; ++i) {
-      recorder->ring().Record(TimePoint::Zero() + Duration::Seconds(i),
-                              TraceEventKind::kCheckpointBegin, i % 3, i,
-                              i * 2, i * 3);
+      ring->Record(TimePoint::Zero() + Duration::Seconds(i),
+                   TraceEventKind::kCheckpointBegin, i % 3, i, i * 2, i * 3);
     }
   };
-  obs::FlightRecorder a(4);
-  obs::FlightRecorder b(4);
+  obs::TraceLog a;
+  obs::TraceLog b;
   feed(&a);
   feed(&b);
   const JsonValue dump_a = obs::FlightRecordToJson(a);

@@ -172,6 +172,28 @@ TEST(StreamingJobTest, ActiveReplicaTakeoverIsSeamlessAndFast) {
             passive.reports[0].TotalLatency());
 }
 
+// A failure of the sink primary's node under active replication: the
+// batches the dead sink never delivered reach the user through the
+// promoted replica's flush, each exactly once — no gap, no duplicate.
+TEST(StreamingJobTest, SinkTakeoverDeliversEveryBatchExactlyOnce) {
+  RunResult clean = RunScenario(FtMode::kActiveReplication, -1, 0, 40);
+  // Node 4 hosts the sink (task 4) under round-robin placement.
+  RunResult failed = RunScenario(FtMode::kActiveReplication, 4, 10.5, 40);
+  ASSERT_EQ(failed.reports.size(), 1u);
+  const RecoveryReport& report = failed.reports[0];
+  ASSERT_EQ(report.specs.size(), 1u);
+  EXPECT_EQ(report.specs[0].task, 4);
+  EXPECT_EQ(report.specs[0].kind, RecoveryKind::kActiveReplica);
+  ExpectSameRecords(clean.records, failed.records);
+  const TimePoint takeover = report.detection_time + report.TotalLatency();
+  int64_t flushed = 0;
+  for (const SinkRecord& r : failed.records) {
+    EXPECT_FALSE(r.tentative);
+    flushed += r.emitted_at == takeover ? 1 : 0;
+  }
+  EXPECT_GT(flushed, 0) << "the takeover must flush the replica's backlog";
+}
+
 TEST(StreamingJobTest, SourceReplayRecoversWindowedState) {
   RunResult clean = RunScenario(FtMode::kSourceReplay, -1, 0, 50);
   RunResult failed = RunScenario(FtMode::kSourceReplay, 2, 10.5, 50);

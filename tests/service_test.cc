@@ -238,6 +238,45 @@ TEST(ServiceTest, ReviveDomainReadmitsQueuedTenant) {
   }
 }
 
+// Tenants share the service's backend, so none attaches its registry or
+// profiler to it: a tenant admitted from a callback inside RunUntil must
+// not swap the profiler the drive's root span was opened on.
+TEST(ServiceTest, AdmissionInsideRunUntilLeavesTheBackendUnattached) {
+  backend::SimBackend loop;
+  service::ServiceConfig config;
+  config.num_worker_nodes = 2;
+  config.num_standby_nodes = 1;
+  config.worker_slots_per_node = 2;
+  service::ClusterService svc(config, &loop);
+  PPA_CHECK_OK(svc.InjectNodeFailure(1));
+
+  service::TenantSpec a;
+  a.topology_spec = kChain2;
+  auto a_id = svc.Submit(std::move(a));
+  ASSERT_TRUE(a_id.ok()) << a_id.status();
+  EXPECT_EQ(*svc.PhaseOf(*a_id), service::TenantPhase::kRunning);
+
+  // B only tolerates the failed node, so it waits for the revival.
+  service::TenantSpec b;
+  b.topology_spec = kChain2;
+  b.worker_affinity = {1};
+  auto b_id = svc.Submit(std::move(b));
+  ASSERT_TRUE(b_id.ok()) << b_id.status();
+  EXPECT_EQ(*svc.PhaseOf(*b_id), service::TenantPhase::kQueued);
+
+  loop.ScheduleAt(svc.strand(), At(5),
+                  [&svc] { PPA_CHECK_OK(svc.ReviveNode(1)); });
+  loop.RunUntil(At(10));
+  EXPECT_EQ(loop.now(), At(10));
+  EXPECT_EQ(*svc.PhaseOf(*b_id), service::TenantPhase::kRunning);
+  EXPECT_EQ(*svc.AdmittedAt(*b_id), At(5));
+  for (int id : svc.TenantIds()) {
+    EXPECT_EQ(svc.job(id)->metrics().counters().count("sim.events_processed"),
+              0u)
+        << "tenant " << id;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Standby rebalancing: degradation and re-promotion.
 
