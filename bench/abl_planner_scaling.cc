@@ -18,6 +18,7 @@
 #include "planner/greedy_planner.h"
 #include "planner/structure_aware_planner.h"
 #include "topology/random_topology.h"
+#include "topology/topology.h"
 
 namespace ppa {
 namespace {
@@ -84,6 +85,41 @@ BENCHMARK(BM_StructureAwarePlanner)
     ->Args({8, 4})
     ->Args({10, 6})
     ->Args({10, 16});
+
+/// scale_cluster's (and perfbench wide-cluster's) shape: src -one-to-one->
+/// mid -merge-> sink at the given width, 2 * width + 1 tasks. Thousands of
+/// tasks in three operators — a shape the random size classes never reach.
+Topology MakeWideTopology(int width) {
+  TopologyBuilder b;
+  OperatorId src = b.AddOperator("src", width);
+  OperatorId mid =
+      b.AddOperator("mid", width, InputCorrelation::kIndependent, 0.5);
+  OperatorId sink =
+      b.AddOperator("sink", 1, InputCorrelation::kIndependent, 0.5);
+  b.Connect(src, mid, PartitionScheme::kOneToOne);
+  b.Connect(mid, sink, PartitionScheme::kMerge);
+  b.SetSourceRate(src, 8.0 * width);
+  auto topo = b.Build();
+  PPA_CHECK_OK(topo.status());
+  return *std::move(topo);
+}
+
+void BM_StructureAwarePlannerWide(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  Topology topo = MakeWideTopology(width);
+  const int budget = width / 8;
+  StructureAwarePlanner planner;
+  for (auto _ : state) {
+    auto plan = planner.Plan(PlanRequest(topo, budget));
+    PPA_CHECK_OK(plan.status());
+    benchmark::DoNotOptimize(plan->output_fidelity);
+  }
+  state.counters["tasks"] = topo.num_tasks();
+}
+BENCHMARK(BM_StructureAwarePlannerWide)
+    ->Arg(128)
+    ->Arg(768)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GreedyPlanner(benchmark::State& state) {
   Topology topo = MakeTopology(static_cast<int>(state.range(0)),

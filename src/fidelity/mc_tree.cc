@@ -33,21 +33,13 @@ class Enumerator {
       self.Add(t);
       trees.push_back(std::move(self));
     } else {
-      // Group incoming substreams by upstream operator (= input stream).
-      std::vector<OperatorId> stream_ops;
+      // Group incoming substreams by input stream (upstream operator).
       std::vector<std::vector<TaskId>> stream_sources;
-      for (int si : ti.in_substreams) {
-        const Substream& s = topology_.substreams()[si];
-        auto it = std::find(stream_ops.begin(), stream_ops.end(), s.from_op);
-        size_t idx;
-        if (it == stream_ops.end()) {
-          stream_ops.push_back(s.from_op);
+      for (const InEdge& e : topology_.in_edges(t)) {
+        if (static_cast<size_t>(e.stream) == stream_sources.size()) {
           stream_sources.emplace_back();
-          idx = stream_ops.size() - 1;
-        } else {
-          idx = static_cast<size_t>(it - stream_ops.begin());
         }
-        stream_sources[idx].push_back(s.from);
+        stream_sources[static_cast<size_t>(e.stream)].push_back(e.from);
       }
 
       if (oi.correlation == InputCorrelation::kIndependent) {

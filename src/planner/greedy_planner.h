@@ -1,9 +1,17 @@
 #ifndef PPA_PLANNER_GREEDY_PLANNER_H_
 #define PPA_PLANNER_GREEDY_PLANNER_H_
 
+#include <vector>
+
 #include "planner/planner.h"
 
 namespace ppa {
+
+/// Algorithm 2's ranking: every task of `topology`, most damaging first —
+/// ascending output fidelity when only that task fails, ties on lower task
+/// id.
+[[nodiscard]] std::vector<TaskId> RankTasksByFailureDamage(
+    const Topology& topology);
 
 /// The structure-agnostic greedy baseline (Algorithm 2): every task is
 /// scored by the output fidelity of the topology when only that task fails;

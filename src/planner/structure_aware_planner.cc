@@ -6,6 +6,7 @@
 
 #include "fidelity/metrics.h"
 #include "planner/decompose.h"
+#include "planner/greedy_planner.h"
 #include "planner/sub_planner.h"
 
 namespace ppa {
@@ -21,17 +22,21 @@ StatusOr<ReplicationPlan> StructureAwarePlanner::Plan(
                        DecomposeTopology(topology));
 
   // The global plan, shared by all sub-planners through their evaluators.
+  // A candidate (global plan plus a few tasks) is scored incrementally: the
+  // scorer holds the global plan's propagation and re-propagates only the
+  // added tasks' downstream cone.
   TaskSet global_plan(n);
-  const LossModel metric = options_.metric;
-  auto evaluate_with = [&topology, &global_plan, metric](
+  IncrementalLossScorer scorer(topology, options_.metric);
+  scorer.Reset(global_plan.Complement());
+  std::vector<TaskId> global_add;
+  auto evaluate_with = [&scorer, &global_add](
                            const std::vector<TaskId>& local_add,
                            const std::vector<TaskId>& local_to_global) {
-    TaskSet plan = global_plan;
+    global_add.clear();
     for (TaskId local : local_add) {
-      plan.Add(local_to_global[static_cast<size_t>(local)]);
+      global_add.push_back(local_to_global[static_cast<size_t>(local)]);
     }
-    return PropagateInfoLoss(topology, plan.Complement(), metric)
-        .output_fidelity;
+    return scorer.ScoreRevived(global_add);
   };
 
   std::vector<std::unique_ptr<SubTopologyPlanner>> planners;
@@ -60,6 +65,7 @@ StatusOr<ReplicationPlan> StructureAwarePlanner::Plan(
       PPA_CHECK(global_plan.Add(
           subs[idx].extracted.parent_task[static_cast<size_t>(local)]));
     }
+    scorer.Reset(global_plan.Complement());
     planners[idx]->Commit(step);
     for (auto& planner : planners) {
       planner->Refresh();
@@ -142,28 +148,11 @@ StatusOr<ReplicationPlan> StructureAwarePlanner::Plan(
   // damaging tasks (ranked as in Alg. 2); this never lowers the metric and
   // makes the consumed resources match the requested budget.
   if (options_.fill_budget && plan.replicated.size() < budget) {
-    struct Scored {
-      TaskId task;
-      double of_when_failed;
-    };
-    std::vector<Scored> scores;
-    for (TaskId t = 0; t < n; ++t) {
-      if (!plan.replicated.Contains(t)) {
-        scores.push_back(Scored{t, SingleFailureOutputFidelity(topology, t)});
-      }
-    }
-    std::stable_sort(scores.begin(), scores.end(),
-                     [](const Scored& a, const Scored& b) {
-                       if (a.of_when_failed != b.of_when_failed) {
-                         return a.of_when_failed < b.of_when_failed;
-                       }
-                       return a.task < b.task;
-                     });
-    for (const Scored& s : scores) {
+    for (TaskId t : RankTasksByFailureDamage(topology)) {
       if (plan.replicated.size() >= budget) {
         break;
       }
-      plan.replicated.Add(s.task);
+      plan.replicated.Add(t);
     }
   }
 

@@ -132,6 +132,31 @@ void Topology::RecomputeRates() {
       }
     }
   }
+  IndexInEdges();
+}
+
+void Topology::IndexInEdges() {
+  in_edges_.clear();
+  in_edges_.reserve(substreams_.size());
+  in_edge_begin_.assign(1, 0);
+  std::vector<OperatorId> streams;
+  for (const TaskInfo& t : tasks_) {
+    streams.clear();
+    for (int si : t.in_substreams) {
+      const Substream& s = substreams_[si];
+      if (streams.empty() || streams.back() != s.from_op) {
+        // Build() adds substreams edge by edge and rejects duplicate edges,
+        // so each input stream is one contiguous run.
+        PPA_CHECK(std::find(streams.begin(), streams.end(), s.from_op) ==
+                  streams.end())
+            << "input stream of task " << t.id << " is not contiguous";
+        streams.push_back(s.from_op);
+      }
+      in_edges_.push_back(InEdge{
+          s.from, static_cast<int>(streams.size()) - 1, s.rate});
+    }
+    in_edge_begin_.push_back(static_cast<int>(in_edges_.size()));
+  }
 }
 
 OperatorId TopologyBuilder::AddOperator(std::string name, int parallelism,

@@ -1,6 +1,7 @@
 #ifndef PPA_TOPOLOGY_TOPOLOGY_H_
 #define PPA_TOPOLOGY_TOPOLOGY_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,16 @@ struct Substream {
   double rate = 0.0;
 };
 
+/// One incoming substream of a task, flattened for loss propagation: the
+/// producing task, the input stream (upstream operator) it belongs to, and
+/// its rate. A task's input streams are numbered 0, 1, ... in order of
+/// appearance in its in_substreams, where each stream is one contiguous run.
+struct InEdge {
+  TaskId from = kInvalidTaskId;
+  int stream = 0;
+  double rate = 0.0;
+};
+
 /// Static description of one task.
 struct TaskInfo {
   TaskId id = kInvalidTaskId;
@@ -84,6 +95,13 @@ class Topology {
 
   const OperatorInfo& op(OperatorId id) const { return operators_[id]; }
   const TaskInfo& task(TaskId id) const { return tasks_[id]; }
+  /// The task's incoming substreams in in_substreams order, as InEdges;
+  /// the edges of one input stream are contiguous.
+  std::span<const InEdge> in_edges(TaskId id) const {
+    return std::span<const InEdge>(in_edges_).subspan(
+        static_cast<size_t>(in_edge_begin_[id]),
+        static_cast<size_t>(in_edge_begin_[id + 1] - in_edge_begin_[id]));
+  }
 
   /// Operators with no upstream neighbours (stream sources).
   const std::vector<OperatorId>& source_operators() const { return sources_; }
@@ -128,6 +146,9 @@ class Topology {
  private:
   friend class TopologyBuilder;
 
+  /// Rebuilds in_edges_ from the substreams and their current rates.
+  void IndexInEdges();
+
   std::vector<OperatorInfo> operators_;
   std::vector<TaskInfo> tasks_;
   std::vector<StreamEdge> edges_;
@@ -137,6 +158,10 @@ class Topology {
   std::vector<OperatorId> topo_order_;
   /// Configured per-source-operator aggregate rates.
   std::vector<double> source_rates_;
+  /// Every task's InEdges, task by task; task t's are
+  /// [in_edge_begin_[t], in_edge_begin_[t + 1]).
+  std::vector<InEdge> in_edges_;
+  std::vector<int> in_edge_begin_;
 };
 
 /// Incremental construction of a Topology with validation at Build() time.

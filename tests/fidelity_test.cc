@@ -1,4 +1,7 @@
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -162,6 +165,105 @@ TEST_P(MetricsPropertyTest, MonotoneAndOrdered) {
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, MetricsPropertyTest,
                          ::testing::Range(uint64_t{0}, uint64_t{24}));
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Property: IncrementalLossScorer's scores are bit-identical to a full
+// PropagateInfoLoss of the changed failure set, for plan extensions
+// (ScoreRevived) and failure extensions (ScoreFailed), under both loss
+// models, and scoring leaves the base untouched.
+class IncrementalScorerPropertyTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IncrementalScorerPropertyTest, MatchesFullPropagationBitwise) {
+  Rng rng(GetParam() * 6151 + 3);
+  RandomTopologyOptions opts;
+  opts.join_fraction = 0.5;
+  opts.kind = (GetParam() % 2 == 0) ? RandomTopologyOptions::Kind::kStructured
+                                    : RandomTopologyOptions::Kind::kFull;
+  opts.skew = (GetParam() % 3 == 0)
+                  ? RandomTopologyOptions::WorkloadSkew::kZipf
+                  : RandomTopologyOptions::WorkloadSkew::kUniform;
+  auto topo = GenerateRandomTopology(opts, &rng);
+  ASSERT_TRUE(topo.ok());
+  const int n = topo->num_tasks();
+  auto random_task = [&] {
+    return static_cast<TaskId>(rng.NextUint64(static_cast<uint64_t>(n)));
+  };
+  TaskSet random_plan(n);
+  for (TaskId t = 0; t < n; ++t) {
+    if (rng.NextUint64(3) == 0) {
+      random_plan.Add(t);
+    }
+  }
+  const TaskSet bases[] = {TaskSet(n), TaskSet::All(n), random_plan};
+
+  for (LossModel model :
+       {LossModel::kOutputFidelity, LossModel::kInternalCompleteness}) {
+    IncrementalLossScorer scorer(*topo, model);
+    for (const TaskSet& plan : bases) {
+      // Candidate additions: empty, a fresh pair, a duplicate, an
+      // already-replicated task (when there is one), and a larger batch.
+      std::vector<std::vector<TaskId>> adds = {{}};
+      const TaskId a = random_task(), b = random_task();
+      adds.push_back({a, b});
+      adds.push_back({a, a});
+      if (!plan.empty()) {
+        const std::vector<TaskId> in_plan = plan.ToVector();
+        adds.push_back(
+            {in_plan[rng.NextUint64(in_plan.size())], random_task()});
+      }
+      std::vector<TaskId> batch;
+      for (int i = 0; i < 6; ++i) {
+        batch.push_back(random_task());
+      }
+      adds.push_back(batch);
+
+      const TaskSet failed = plan.Complement();
+      scorer.Reset(failed);
+      for (const std::vector<TaskId>& add : adds) {
+        TaskSet extended = plan;
+        TaskSet more_failed = failed;
+        for (TaskId t : add) {
+          extended.Add(t);
+          more_failed.Add(t);
+        }
+        EXPECT_EQ(Bits(scorer.ScoreRevived(add)),
+                  Bits(PropagateInfoLoss(*topo, extended.Complement(), model)
+                           .output_fidelity))
+            << "plan size " << plan.size() << ", add size " << add.size();
+        EXPECT_EQ(Bits(scorer.ScoreFailed(add)),
+                  Bits(PropagateInfoLoss(*topo, more_failed, model)
+                           .output_fidelity))
+            << "plan size " << plan.size() << ", add size " << add.size();
+      }
+      // Scoring restored the base exactly.
+      const InfoLossResult full = PropagateInfoLoss(*topo, failed, model);
+      ASSERT_EQ(scorer.base().output_loss.size(), full.output_loss.size());
+      for (size_t t = 0; t < full.output_loss.size(); ++t) {
+        EXPECT_EQ(Bits(scorer.base().output_loss[t]),
+                  Bits(full.output_loss[t]))
+            << "task " << t;
+      }
+      EXPECT_EQ(Bits(scorer.base().output_fidelity),
+                Bits(full.output_fidelity));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomTopologies, IncrementalScorerPropertyTest,
+                         ::testing::Range(uint64_t{0}, uint64_t{200}));
+
+TEST(InfoLossDeathTest, FailureSetMustMatchTheTopology) {
+  const Topology topo = MakeChain(2, 2, 1, PartitionScheme::kOneToOne,
+                                  PartitionScheme::kMerge);
+  const TaskSet larger(topo.num_tasks() + 1);
+  const TaskSet smaller(topo.num_tasks() - 1);
+  EXPECT_DEATH((void)PropagateInfoLoss(topo, larger), "failure set over");
+  EXPECT_DEATH((void)PropagateInfoLoss(topo, smaller), "failure set over");
+  IncrementalLossScorer scorer(topo, LossModel::kOutputFidelity);
+  EXPECT_DEATH(scorer.Reset(larger), "failure set over");
+}
 
 TEST(McTreeTest, SingleOperatorTopology) {
   TopologyBuilder b;

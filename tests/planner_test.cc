@@ -1,9 +1,14 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "fidelity/metrics.h"
 #include "planner/decompose.h"
@@ -310,6 +315,102 @@ TEST(PlannerComparisonTest, SaBeatsGreedyOnAverage) {
     greedy_total += greedy_plan->output_fidelity;
   }
   EXPECT_GT(sa_total, greedy_total);
+}
+
+// Plan pinning: StructureAwarePlanner's exact plans (replicated tasks and
+// the bits of the reported metric) for fixed inputs. Planner speed-ups must
+// leave every plan byte-identical; any change here is a behaviour change.
+
+/// The wide src -one-to-one-> mid -merge-> sink shape of scale_cluster.
+Topology MakeWideMerge(int width) {
+  TopologyBuilder b;
+  OperatorId src = b.AddOperator("src", width);
+  OperatorId mid = b.AddOperator("mid", width, InputCorrelation::kIndependent,
+                                 0.5);
+  OperatorId sink = b.AddOperator("sink", 1, InputCorrelation::kIndependent,
+                                  0.5);
+  b.Connect(src, mid, PartitionScheme::kOneToOne);
+  b.Connect(mid, sink, PartitionScheme::kMerge);
+  b.SetSourceRate(src, 8.0 * width);
+  auto built = b.Build();
+  PPA_CHECK(built.ok()) << built.status();
+  return *std::move(built);
+}
+
+StructureAwarePlanner PlannerFor(LossModel metric) {
+  StructureAwareOptions opts;
+  opts.metric = metric;
+  return StructureAwarePlanner(opts);
+}
+
+std::string Describe(const ReplicationPlan& plan) {
+  std::string out;
+  for (TaskId t : plan.replicated.ToVector()) {
+    out += std::to_string(t) + " ";
+  }
+  char bits[32];
+  std::snprintf(bits, sizeof(bits), "of=%016llx",
+                static_cast<unsigned long long>(
+                    std::bit_cast<uint64_t>(plan.output_fidelity)));
+  return out + bits;
+}
+
+TEST(PlanPinningTest, WideMergeShape) {
+  // The sink merges a single stream, so OF and IC plan alike here.
+  const char* kWidth64 = "0 61 62 63 125 126 127 128 of=3fa8000000000000";
+  const char* kWidth200 =
+      "188 189 190 191 192 193 194 195 196 197 198 199 388 389 390 391 "
+      "392 393 394 395 396 397 398 399 400 of=3faeb851eb851ec0";
+  struct Case {
+    int width;
+    LossModel metric;
+    const char* expected;
+  };
+  const Case cases[] = {
+      {64, LossModel::kOutputFidelity, kWidth64},
+      {64, LossModel::kInternalCompleteness, kWidth64},
+      {200, LossModel::kOutputFidelity, kWidth200},
+      {200, LossModel::kInternalCompleteness, kWidth200},
+  };
+  for (const Case& c : cases) {
+    const Topology topo = MakeWideMerge(c.width);
+    auto plan = PlannerFor(c.metric).Plan({topo, c.width / 8});
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(Describe(*plan), c.expected) << "width " << c.width;
+  }
+}
+
+TEST(PlanPinningTest, RandomTopologyDigest) {
+  uint64_t digest[2] = {0, 0};
+  const LossModel metrics[2] = {LossModel::kOutputFidelity,
+                                LossModel::kInternalCompleteness};
+  for (uint64_t seed = 0; seed < 120; ++seed) {
+    Rng rng(seed * 104729 + 17);
+    RandomTopologyOptions opts;
+    opts.min_operators = 5;
+    opts.max_operators = 10;
+    opts.max_parallelism = 6;
+    opts.join_fraction = 0.5;
+    opts.kind = seed % 3 == 2 ? RandomTopologyOptions::Kind::kFull
+                              : RandomTopologyOptions::Kind::kStructured;
+    opts.skew = seed % 2 == 1 ? RandomTopologyOptions::WorkloadSkew::kZipf
+                              : RandomTopologyOptions::WorkloadSkew::kUniform;
+    auto topo = GenerateRandomTopology(opts, &rng);
+    ASSERT_TRUE(topo.ok()) << topo.status();
+    const int budget =
+        std::max(1, topo->num_tasks() * static_cast<int>(1 + seed % 3) / 6);
+    for (int m = 0; m < 2; ++m) {
+      auto plan = PlannerFor(metrics[m]).Plan({*topo, budget});
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      for (TaskId t : plan->replicated.ToVector()) {
+        digest[m] = Mix64(digest[m] ^ static_cast<uint64_t>(t));
+      }
+      digest[m] = Mix64(digest[m] ^
+                        std::bit_cast<uint64_t>(plan->output_fidelity));
+    }
+  }
+  EXPECT_EQ(digest[0], 0x4434923db52104bbull);
+  EXPECT_EQ(digest[1], 0xc8e5d4847f59a19cull);
 }
 
 TEST(DecomposeTest, UniformStructuredTopologyStaysWhole) {

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -276,6 +277,145 @@ TEST(TaskSetTest, SetAlgebra) {
   EXPECT_TRUE(comp.Contains(3));
   EXPECT_EQ(TaskSet::All(4).size(), 4);
   EXPECT_EQ(a.ToVector(), (std::vector<TaskId>{0, 1}));
+}
+
+// Word-boundary universes: empty, a single bit, one word minus/plus one,
+// exactly one word, and a partial third word.
+class TaskSetWordBoundaryTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TaskSetWordBoundaryTest, AllAndComplementHaveNoStrayTailBits) {
+  const int n = GetParam();
+  const TaskSet all = TaskSet::All(n);
+  EXPECT_EQ(all.size(), n);
+  EXPECT_EQ(all.universe_size(), n);
+  EXPECT_EQ(all, TaskSet(n).Complement());
+  EXPECT_TRUE(all.Complement().empty());
+  EXPECT_EQ(all.Complement(), TaskSet(n));
+  std::vector<TaskId> every(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    every[static_cast<size_t>(i)] = i;
+  }
+  EXPECT_EQ(all.ToVector(), every);
+  // A stray tail bit would make the full set miss nothing it contains, yet
+  // compare unequal to one built element by element.
+  TaskSet built(n);
+  for (TaskId t : every) {
+    built.Add(t);
+  }
+  EXPECT_EQ(built, all);
+  EXPECT_EQ(built.CountMissing(all), 0);
+  EXPECT_EQ(TaskSet(n).CountMissing(all), n);
+}
+
+TEST_P(TaskSetWordBoundaryTest, AlgebraAcrossWords) {
+  const int n = GetParam();
+  // Every third task, plus the last task of the universe.
+  TaskSet a(n);
+  for (int i = 0; i < n; i += 3) {
+    a.Add(i);
+  }
+  if (n > 0) {
+    a.Add(n - 1);
+  }
+  // Every other task.
+  TaskSet b(n);
+  for (int i = 0; i < n; i += 2) {
+    b.Add(i);
+  }
+  std::vector<TaskId> want_union;
+  int a_minus_b = 0, b_minus_a = 0;
+  for (int i = 0; i < n; ++i) {
+    const bool in_a = i % 3 == 0 || i == n - 1;
+    const bool in_b = i % 2 == 0;
+    if (in_a || in_b) {
+      want_union.push_back(i);
+    }
+    a_minus_b += in_a && !in_b;
+    b_minus_a += in_b && !in_a;
+  }
+  TaskSet u = a;
+  u.UnionWith(b);
+  EXPECT_EQ(u.ToVector(), want_union);
+  EXPECT_EQ(u.size(), static_cast<int>(want_union.size()));
+  EXPECT_EQ(a.CountMissing(b), b_minus_a);
+  EXPECT_EQ(b.CountMissing(a), a_minus_b);
+  EXPECT_TRUE(a.IsSubsetOf(u));
+  EXPECT_TRUE(b.IsSubsetOf(u));
+  EXPECT_EQ(a.IsSubsetOf(b), a_minus_b == 0);
+  EXPECT_TRUE(TaskSet(n).IsSubsetOf(a));
+  EXPECT_TRUE(a.IsSubsetOf(TaskSet::All(n)));
+  const TaskSet ca = a.Complement();
+  EXPECT_EQ(ca.size(), n - a.size());
+  for (int i = 0; i < n; ++i) {
+    EXPECT_NE(ca.Contains(i), a.Contains(i)) << i;
+  }
+  TaskSet au = a;
+  au.UnionWith(ca);
+  EXPECT_EQ(au, TaskSet::All(n));
+  EXPECT_EQ(a == b, n <= 1);
+}
+
+TEST_P(TaskSetWordBoundaryTest, OrderMatchesVectorBoolOnRandomPairs) {
+  const int n = GetParam();
+  Rng rng(static_cast<uint64_t>(n) + 11);
+  auto random_set = [&](std::vector<bool>* ref) {
+    // Sparse, dense and in-between densities, so that long shared prefixes
+    // (differences late in the last word) occur too.
+    const uint64_t density = rng.NextUint64(4);
+    TaskSet s(n);
+    ref->assign(static_cast<size_t>(n), false);
+    for (int i = 0; i < n; ++i) {
+      if (rng.NextUint64(4) < density) {
+        s.Add(i);
+        (*ref)[static_cast<size_t>(i)] = true;
+      }
+    }
+    return s;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<bool> ra, rb;
+    const TaskSet a = random_set(&ra);
+    TaskSet b = random_set(&rb);
+    if (trial % 4 == 0 && n > 0) {
+      // b equals a except possibly in the last task.
+      b = a;
+      rb = ra;
+      const TaskId last = n - 1;
+      if (rb.back()) {
+        b.Remove(last);
+      } else {
+        b.Add(last);
+      }
+      rb.back() = !rb.back();
+    }
+    EXPECT_EQ(a < b, ra < rb) << "trial " << trial;
+    EXPECT_EQ(b < a, rb < ra) << "trial " << trial;
+    EXPECT_EQ(a == b, ra == rb) << "trial " << trial;
+    EXPECT_FALSE(a < a);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Universes, TaskSetWordBoundaryTest,
+                         ::testing::Values(0, 1, 63, 64, 65, 130));
+
+TEST(TaskSetTest, OrderAcrossUniverseSizesMatchesVectorBool) {
+  // A proper prefix sorts first, whatever the word layout.
+  for (int na : {0, 1, 63, 64, 65, 130}) {
+    for (int nb : {0, 1, 63, 64, 65, 130}) {
+      for (bool last_bit : {false, true}) {
+        TaskSet a(na), b(nb);
+        std::vector<bool> ra(static_cast<size_t>(na)),
+            rb(static_cast<size_t>(nb));
+        if (last_bit && nb > 0) {
+          b.Add(nb - 1);
+          rb.back() = true;
+        }
+        EXPECT_EQ(a < b, ra < rb) << na << " vs " << nb;
+        EXPECT_EQ(b < a, rb < ra) << na << " vs " << nb;
+        EXPECT_EQ(a == b, ra == rb) << na << " vs " << nb;
+      }
+    }
+  }
 }
 
 TEST(RandomTopologyTest, RespectsOperatorCountRange) {
