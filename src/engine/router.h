@@ -14,6 +14,11 @@ namespace ppa {
 /// a deterministic hash of its key. Under one-to-one and merge partitioning
 /// the consumer set is a singleton, under split it is the producer's group,
 /// and under full it is the whole downstream operator.
+///
+/// RouteBatchTo memoizes into the batches it routes and reuses a scratch
+/// buffer, both through const calls: a Router and the batches it routes
+/// belong to one job, which runs on one strand, so no two threads ever
+/// route concurrently.
 class Router {
  public:
   explicit Router(const Topology* topology);
@@ -28,9 +33,13 @@ class Router {
 
   /// Routes one buffered batch of `producer` toward `consumer` (a task
   /// of `to_op`): appends the tuples that hash to `consumer` to `out`
-  /// (when non-null) and returns how many routed there. The gather side
-  /// of a hop — schedulers pass the upstream BatchOutput along with its
-  /// lineage so per-hop threading stays in the routing layer.
+  /// (when non-null), in batch order, and returns how many routed there.
+  /// The gather side of a hop — schedulers pass the upstream BatchOutput
+  /// along with its lineage so per-hop threading stays in the routing
+  /// layer. On a multi-consumer edge the first call for a batch hashes
+  /// each key once and groups the tuple positions by consumer in
+  /// `batch.route_memo`; every later call for that batch and edge copies
+  /// only its own group. The batch must not change once routed.
   size_t RouteBatchTo(TaskId producer, OperatorId to_op,
                       const BatchOutput& batch, TaskId consumer,
                       std::vector<Tuple>* out) const;
@@ -39,6 +48,10 @@ class Router {
   const Topology* topology_;
   /// consumers_[producer * num_operators + to_op].
   std::vector<std::vector<TaskId>> consumers_;
+  /// Per-tuple consumer indices while RouteBatchTo builds a memo segment,
+  /// kept to reuse its capacity. Like the memos, it is written from const
+  /// calls, which is safe because a job routes on one strand only.
+  mutable std::vector<uint32_t> index_scratch_;
   static const std::vector<TaskId> kEmpty;
 };
 

@@ -57,32 +57,57 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
     produced = source_->NextBatch(batch, topology_->task(id_).index_in_op);
     work = static_cast<int64_t>(produced.size());
   } else {
-    // Deterministic round-robin order: by producer, then sequence.
-    std::sort(inputs.begin(), inputs.end(),
-              [](const Tuple& a, const Tuple& b) {
-                if (a.producer != b.producer) {
-                  return a.producer < b.producer;
-                }
-                return a.seq < b.seq;
-              });
-    // Duplicate elimination by per-producer sequence number.
-    std::vector<Tuple> fresh;
-    fresh.reserve(inputs.size());
-    for (Tuple& t : inputs) {
-      auto it = progress_.find(t.producer);
-      if (it != progress_.end() && t.seq <= it->second) {
-        continue;  // Already processed (replayed duplicate).
+    // Deterministic round-robin order: by producer, then sequence. A
+    // gather walks each input edge's producers in ascending order and each
+    // producer's batch in sequence order, so single-input operators receive
+    // sorted inputs; (producer, seq) pairs are unique within a gather, so
+    // skipping the sort then yields exactly the sorted order.
+    const auto by_producer_seq = [](const Tuple& a, const Tuple& b) {
+      if (a.producer != b.producer) {
+        return a.producer < b.producer;
       }
-      progress_[t.producer] = t.seq;
-      fresh.push_back(std::move(t));
+      return a.seq < b.seq;
+    };
+    if (!std::is_sorted(inputs.begin(), inputs.end(), by_producer_seq)) {
+      std::sort(inputs.begin(), inputs.end(), by_producer_seq);
     }
-    processed_tuples_ += static_cast<int64_t>(fresh.size());
-    work = static_cast<int64_t>(fresh.size());
-    obs::Add(tuples_counter_, static_cast<int64_t>(fresh.size()));
+    // Duplicate elimination by per-producer sequence number, compacting in
+    // place with one progress lookup per producer run: a tuple is kept iff
+    // its seq exceeds the producer's progress so far, which then becomes
+    // that seq.
+    size_t kept = 0;
+    for (size_t i = 0; i < inputs.size();) {
+      const TaskId producer = inputs[i].producer;
+      auto it = progress_.lower_bound(producer);
+      const bool known = it != progress_.end() && it->first == producer;
+      bool seen = known;
+      uint64_t last = known ? it->second : 0;
+      for (; i < inputs.size() && inputs[i].producer == producer; ++i) {
+        if (seen && inputs[i].seq <= last) {
+          continue;  // Already processed (replayed duplicate).
+        }
+        seen = true;
+        last = inputs[i].seq;
+        if (kept != i) {
+          inputs[kept] = std::move(inputs[i]);
+        }
+        ++kept;
+      }
+      if (known) {
+        it->second = last;
+      } else if (seen) {
+        progress_.emplace_hint(it, producer, last);
+      }
+    }
+    inputs.erase(inputs.begin() + static_cast<std::ptrdiff_t>(kept),
+                 inputs.end());
+    processed_tuples_ += static_cast<int64_t>(kept);
+    work = static_cast<int64_t>(kept);
+    obs::Add(tuples_counter_, static_cast<int64_t>(kept));
     const TaskInfo& info = topology_->task(id_);
     BatchContext ctx(batch, info.index_in_op,
                      topology_->op(info.op).parallelism);
-    op_->ProcessBatch(&ctx, fresh);
+    op_->ProcessBatch(&ctx, inputs);
     produced = std::move(ctx.emitted());
   }
   PPA_CHECK(produced.size() < (size_t{1} << 24))
@@ -108,11 +133,19 @@ const BatchOutput& TaskRuntime::RunBatch(int64_t batch,
                     static_cast<double>(work) * cost_per_tuple_us_)));
   ++next_batch_;
   if (emit_downstream) {
-    output_buffer_.push_back(
-        BatchOutput{batch, std::move(produced), ctx.ingest_at, ctx.hops});
+    buffered_tuples_ += static_cast<int64_t>(produced.size());
+    RouteMemo memo;
+    if (!spare_route_memos_.empty()) {
+      memo = std::move(spare_route_memos_.back());
+      spare_route_memos_.pop_back();
+    }
+    output_buffer_.push_back(BatchOutput{batch, std::move(produced),
+                                         ctx.ingest_at, ctx.hops,
+                                         std::move(memo)});
     return output_buffer_.back();
   }
-  scratch_ = BatchOutput{batch, std::move(produced), ctx.ingest_at, ctx.hops};
+  scratch_ = BatchOutput{batch, std::move(produced), ctx.ingest_at, ctx.hops,
+                         RouteMemo()};
   return scratch_;
 }
 
@@ -130,16 +163,16 @@ const BatchOutput* TaskRuntime::FindBatch(int64_t batch) const {
 void TaskRuntime::TrimOutputBuffer(int64_t up_to_batch) {
   while (!output_buffer_.empty() &&
          output_buffer_.front().batch <= up_to_batch) {
+    BatchOutput& front = output_buffer_.front();
+    buffered_tuples_ -= static_cast<int64_t>(front.tuples.size());
+    if (front.route_memo.allocated()) {
+      // Recycled into the next produced batch, so steady-state routing
+      // reuses the capacity of trimmed batches instead of allocating.
+      front.route_memo.Clear();
+      spare_route_memos_.push_back(std::move(front.route_memo));
+    }
     output_buffer_.pop_front();
   }
-}
-
-int64_t TaskRuntime::BufferedTuples() const {
-  int64_t total = 0;
-  for (const BatchOutput& b : output_buffer_) {
-    total += static_cast<int64_t>(b.tuples.size());
-  }
-  return total;
 }
 
 int64_t TaskRuntime::BufferedTuplesAfter(int64_t after_batch) const {
@@ -196,6 +229,7 @@ Status TaskRuntime::Restore(const std::string& checkpoint) {
     PPA_RETURN_IF_ERROR(op_->RestoreState(op_state));
   }
   output_buffer_.clear();
+  buffered_tuples_ = 0;
   PPA_ASSIGN_OR_RETURN(uint64_t batches, r.GetU64());
   for (uint64_t i = 0; i < batches; ++i) {
     BatchOutput b;
@@ -210,6 +244,7 @@ Status TaskRuntime::Restore(const std::string& checkpoint) {
       PPA_ASSIGN_OR_RETURN(Tuple t, GetTuple(&r));
       b.tuples.push_back(std::move(t));
     }
+    buffered_tuples_ += static_cast<int64_t>(b.tuples.size());
     output_buffer_.push_back(std::move(b));
   }
   if (!r.exhausted()) {
@@ -301,6 +336,7 @@ Status TaskRuntime::ApplyDelta(const std::string& delta) {
       PPA_ASSIGN_OR_RETURN(Tuple t, GetTuple(&r));
       b.tuples.push_back(std::move(t));
     }
+    buffered_tuples_ += static_cast<int64_t>(b.tuples.size());
     output_buffer_.push_back(std::move(b));
   }
   if (!r.exhausted()) {
@@ -317,6 +353,7 @@ void TaskRuntime::Reset(int64_t next_batch) {
   snapshot_next_batch_ = next_batch;
   progress_.clear();
   output_buffer_.clear();
+  buffered_tuples_ = 0;
   if (op_ != nullptr) {
     op_->Reset();
   }

@@ -95,8 +95,8 @@ class TaskRuntime {
   /// trimming, Sec. II-B).
   void TrimOutputBuffer(int64_t up_to_batch);
 
-  /// Total tuples currently buffered.
-  int64_t BufferedTuples() const;
+  /// Total tuples currently buffered (a running count, O(1)).
+  int64_t BufferedTuples() const { return buffered_tuples_; }
   /// Tuples buffered in batches with index > `after_batch`.
   int64_t BufferedTuplesAfter(int64_t after_batch) const;
 
@@ -184,6 +184,13 @@ class TaskRuntime {
   int64_t emitted_tuples_ = 0;
   std::map<TaskId, uint64_t> progress_;
   std::deque<BatchOutput> output_buffer_;
+  /// Sum of output_buffer_'s tuple counts, kept by every call that
+  /// changes the buffer.
+  int64_t buffered_tuples_ = 0;
+  /// Route memos of trimmed batches, cleared, for the next produced
+  /// batches; with the buffered batches' memos, never more than the
+  /// buffer's peak length.
+  std::vector<RouteMemo> spare_route_memos_;
   /// Scratch slot for the return value of RunBatch when emit_downstream is
   /// false.
   BatchOutput scratch_;

@@ -1,7 +1,10 @@
 #ifndef PPA_ENGINE_TUPLE_H_
 #define PPA_ENGINE_TUPLE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,6 +35,53 @@ struct Tuple {
   }
 };
 
+/// The Router's memo of how one buffered batch splits over the consumers
+/// of each multi-consumer edge it was routed along (Router::RouteBatchTo):
+/// a run of 32-bit words in one heap block, whose first two words hold the
+/// block's capacity and the words in use. It is derived data: never
+/// serialized, compared or checkpointed. It owns its block, so it and the
+/// BatchOutput holding it are move-only.
+class RouteMemo {
+ public:
+  /// True once the block exists (possibly with no words in use).
+  bool allocated() const { return block_ != nullptr; }
+  /// Words in use.
+  size_t size() const { return block_ == nullptr ? 0 : block_[kSize]; }
+  /// The words in use; requires allocated(). Resize() invalidates it.
+  uint32_t* data() { return block_.get() + kHeader; }
+  /// Sets the words in use to `n`, zeroing the added ones. Past its
+  /// capacity the block is replaced, with one allocation, by one of
+  /// exactly `n` words. (Doubling instead left the heap of a long q1-topk
+  /// perfbench run 40-50 MB larger between drills.)
+  void Resize(size_t n) {
+    const size_t used = size();
+    if (block_ == nullptr || n > block_[kCapacity]) {
+      auto grown = std::make_unique_for_overwrite<uint32_t[]>(kHeader + n);
+      grown[kCapacity] = static_cast<uint32_t>(n);
+      if (used > 0) {
+        std::copy_n(data(), used, grown.get() + kHeader);
+      }
+      block_ = std::move(grown);
+    }
+    if (n > used) {
+      std::fill(data() + used, data() + n, 0u);
+    }
+    block_[kSize] = static_cast<uint32_t>(n);
+  }
+  /// Forgets the words and keeps the block (recycling).
+  void Clear() {
+    if (block_ != nullptr) {
+      block_[kSize] = 0;
+    }
+  }
+
+ private:
+  static constexpr size_t kCapacity = 0;
+  static constexpr size_t kSize = 1;
+  static constexpr size_t kHeader = 2;
+  std::unique_ptr<uint32_t[]> block_;
+};
+
 /// The output of one task for one batch, retained in the task's output
 /// buffer until trimmed by the checkpoint protocol. Carries the batch's
 /// latency lineage: the sim-time the batch's data entered the topology
@@ -46,6 +96,10 @@ struct BatchOutput {
   TimePoint ingest_at = TimePoint::Zero();
   /// Task hops from the source (sources emit with hops == 1).
   int32_t hops = 0;
+  /// Filled lazily by Router::RouteBatchTo through a const reference. That
+  /// is safe only because a job's tasks, router and buffers all run on one
+  /// strand: no two threads ever route the same buffered batch.
+  mutable RouteMemo route_memo;
 };
 
 }  // namespace ppa

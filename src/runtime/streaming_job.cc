@@ -508,8 +508,11 @@ void StreamingJob::OnBatchTick() {
     }
     obs::Set(m_output_buffer_batches_, static_cast<double>(batches));
     // Floor estimate of replay-buffer memory: tuples and batch headers at
-    // their in-memory struct size (keys are small ints here, so payload
-    // bytes are the structs themselves).
+    // their in-memory struct size. A key short enough for std::string's
+    // inline buffer (the window workloads' integers, Q1's `url<N>`) lives
+    // inside sizeof(Tuple); the heap bytes of longer keys and the router's
+    // per-batch memos (4 B per tuple and multi-consumer edge) are not
+    // counted.
     obs::Set(m_buffered_bytes_estimate_,
              static_cast<double>(
                  buffered * static_cast<int64_t>(sizeof(Tuple)) +

@@ -1,14 +1,20 @@
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "engine/operator.h"
 #include "engine/operators.h"
 #include "engine/router.h"
 #include "engine/serde.h"
 #include "engine/task_runtime.h"
 #include "tests/test_topologies.h"
+#include "topology/random_topology.h"
 #include "topology/topology.h"
 
 namespace ppa {
@@ -213,6 +219,127 @@ TEST(RouterTest, NoEdgeYieldsInvalid) {
   EXPECT_TRUE(router.Consumers(t.op(0).tasks[0], 2).empty());
 }
 
+/// A batch of `size` tuples from `producer` over a pool of few keys, so
+/// keys repeat within the batch.
+BatchOutput RandomBatch(Rng* rng, TaskId producer, size_t size) {
+  BatchOutput batch;
+  batch.batch = 3;
+  for (size_t i = 0; i < size; ++i) {
+    Tuple t;
+    t.key = "key" + std::to_string(rng->NextUint64(37));
+    t.value = static_cast<int64_t>(i);
+    t.batch = batch.batch;
+    t.seq = (uint64_t{3} << 24) + i;
+    t.producer = producer;
+    batch.tuples.push_back(std::move(t));
+  }
+  return batch;
+}
+
+/// Single-edge shapes for every partition scheme at fan-outs 1/2/8/64,
+/// each with a second full edge from the same producers so a batch is
+/// routed along two edges, plus random structured and full topologies.
+std::vector<Topology> RouterTopologies() {
+  std::vector<Topology> out;
+  auto shape = [&](int n1, int n2, PartitionScheme scheme) {
+    TopologyBuilder b;
+    const OperatorId src = b.AddOperator("src", n1);
+    const OperatorId dst = b.AddOperator("dst", n2);
+    const OperatorId side = b.AddOperator("side", 3);
+    b.Connect(src, dst, scheme).Connect(src, side, PartitionScheme::kFull);
+    auto topo = b.Build();
+    PPA_CHECK(topo.ok()) << topo.status().ToString();
+    out.push_back(std::move(*topo));
+  };
+  for (int fan_out : {1, 2, 8, 64}) {
+    shape(2, fan_out, PartitionScheme::kFull);
+    if (fan_out > 1) {
+      shape(2, 2 * fan_out, PartitionScheme::kSplit);
+    }
+  }
+  shape(3, 3, PartitionScheme::kOneToOne);
+  shape(4, 2, PartitionScheme::kMerge);
+  Rng rng(17);
+  for (int i = 0; i < 8; ++i) {
+    RandomTopologyOptions opts;
+    opts.kind = i % 2 == 0 ? RandomTopologyOptions::Kind::kStructured
+                           : RandomTopologyOptions::Kind::kFull;
+    opts.max_parallelism = 9;
+    auto topo = GenerateRandomTopology(opts, &rng);
+    PPA_CHECK(topo.ok()) << topo.status().ToString();
+    out.push_back(std::move(*topo));
+  }
+  return out;
+}
+
+TEST(RouterTest, RouteBatchToEqualsPerTupleRouteFilter) {
+  Rng rng(5);
+  Tuple sentinel;
+  sentinel.key = "sentinel";
+  for (const Topology& topo : RouterTopologies()) {
+    Router router(&topo);
+    for (TaskId p = 0; p < topo.num_tasks(); ++p) {
+      for (size_t size : {size_t{0}, size_t{1}, size_t{8}, size_t{2000}}) {
+        const BatchOutput batch = RandomBatch(&rng, p, size);
+        for (OperatorId to_op = 0; to_op < topo.num_operators(); ++to_op) {
+          std::vector<TaskId> consumers = router.Consumers(p, to_op);
+          if (consumers.empty()) {
+            // A missing edge routes nothing to anyone.
+            std::vector<Tuple> out;
+            for (TaskId c : topo.op(to_op).tasks) {
+              EXPECT_EQ(router.RouteBatchTo(p, to_op, batch, c, &out), 0u);
+            }
+            EXPECT_TRUE(out.empty());
+            continue;
+          }
+          // Visit the consumers in a random order: whichever comes first
+          // builds the memo.
+          rng.Shuffle(&consumers);
+          for (TaskId c : consumers) {
+            std::vector<Tuple> expected = {sentinel};
+            for (const Tuple& t : batch.tuples) {
+              if (router.Route(p, to_op, t) == c) {
+                expected.push_back(t);
+              }
+            }
+            std::vector<Tuple> out = {sentinel};
+            const size_t n = router.RouteBatchTo(p, to_op, batch, c, &out);
+            EXPECT_EQ(n, expected.size() - 1);
+            ASSERT_EQ(out, expected)
+                << topo.TaskLabel(p) << " -> " << topo.TaskLabel(c);
+            // Repeated call (memo hit) and the counting call agree.
+            std::vector<Tuple> again = {sentinel};
+            EXPECT_EQ(router.RouteBatchTo(p, to_op, batch, c, &again), n);
+            EXPECT_EQ(again, expected);
+            EXPECT_EQ(router.RouteBatchTo(p, to_op, batch, c, nullptr), n);
+          }
+          // A task outside the consumer set gets nothing.
+          std::vector<Tuple> out;
+          EXPECT_EQ(router.RouteBatchTo(p, to_op, batch, p, &out), 0u);
+          EXPECT_TRUE(out.empty());
+        }
+      }
+    }
+  }
+}
+
+TEST(RouterTest, RouteBatchToRebuildsTheMemoOfAChangedBatch) {
+  Topology topo = MakeChain(1, 4, 1, PartitionScheme::kFull,
+                            PartitionScheme::kMerge);
+  Router router(&topo);
+  Rng rng(9);
+  const TaskId p = topo.op(0).tasks[0];
+  BatchOutput batch = RandomBatch(&rng, p, 50);
+  const TaskId c = topo.op(1).tasks[2];
+  router.RouteBatchTo(p, 1, batch, c, nullptr);
+  batch.tuples.resize(20);
+  size_t expected = 0;
+  for (const Tuple& t : batch.tuples) {
+    expected += router.Route(p, 1, t) == c ? 1 : 0;
+  }
+  EXPECT_EQ(router.RouteBatchTo(p, 1, batch, c, nullptr), expected);
+}
+
 class CountingSource : public SourceFunction {
  public:
   explicit CountingSource(int per_batch) : per_batch_(per_batch) {}
@@ -340,6 +467,150 @@ TEST(TaskRuntimeTest, ResetRegeneratesIdenticalTuples) {
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(original[i], replayed[i]);
   }
+}
+
+bool ByProducerSeq(const Tuple& a, const Tuple& b) {
+  if (a.producer != b.producer) {
+    return a.producer < b.producer;
+  }
+  return a.seq < b.seq;
+}
+
+/// RunBatch's gather order and duplicate elimination as a full sort and a
+/// per-tuple progress lookup: the reference the in-place version matches.
+std::vector<Tuple> ReferenceDedupe(std::vector<Tuple> inputs,
+                                   std::map<TaskId, uint64_t>* progress) {
+  std::sort(inputs.begin(), inputs.end(), ByProducerSeq);
+  std::vector<Tuple> fresh;
+  for (Tuple& t : inputs) {
+    auto it = progress->find(t.producer);
+    if (it != progress->end() && t.seq <= it->second) {
+      continue;
+    }
+    (*progress)[t.producer] = t.seq;
+    fresh.push_back(std::move(t));
+  }
+  return fresh;
+}
+
+TEST(TaskRuntimeTest, InPlaceDedupeMatchesSortAndPerTupleReference) {
+  Topology topo = MakeTinyChain();
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    TaskRuntime rt(&topo, topo.op(1).tasks[0],
+                   std::make_unique<PassThroughOperator>(), nullptr);
+    std::map<TaskId, uint64_t> ref_progress;
+    std::map<TaskId, uint64_t> next_seq;
+    std::vector<Tuple> history;
+    for (int64_t b = 0; b < 12; ++b) {
+      // Producers 2, 5 and 9 from the start; 7 (between them in order)
+      // and 12 (after them) are first seen mid-run.
+      std::vector<TaskId> producers = {2, 5, 9};
+      if (b >= 3) {
+        producers.push_back(7);
+      }
+      if (b >= 6) {
+        producers.push_back(12);
+      }
+      std::vector<Tuple> inputs;
+      for (TaskId p : producers) {
+        const int64_t n = rng.NextInt(0, 6);
+        for (int64_t i = 0; i < n; ++i) {
+          Tuple t;
+          t.key = "k" + std::to_string(rng.NextUint64(5));
+          t.value = static_cast<int64_t>(rng.NextUint64(1000));
+          t.batch = b;
+          t.producer = p;
+          t.seq = next_seq[p]++ * 3 + rng.NextUint64(3);
+          inputs.push_back(t);
+        }
+      }
+      // Replayed tuples of earlier batches (at or below the progress) and
+      // exact duplicates within the gather.
+      const int64_t replays = history.empty() ? 0 : rng.NextInt(0, 4);
+      for (int64_t i = 0; i < replays; ++i) {
+        inputs.push_back(history[rng.NextUint64(history.size())]);
+      }
+      const size_t originals = inputs.size();
+      for (size_t i = 0; originals > 0 && i < 3; ++i) {
+        inputs.push_back(inputs[rng.NextUint64(originals)]);
+      }
+      history.insert(history.end(), inputs.begin(), inputs.end());
+      rng.Shuffle(&inputs);
+      if (b % 4 == 3) {
+        // Already in order: RunBatch skips the sort.
+        std::sort(inputs.begin(), inputs.end(), ByProducerSeq);
+      }
+      const std::vector<Tuple> expected =
+          ReferenceDedupe(inputs, &ref_progress);
+      const BatchOutput& out = rt.RunBatch(b, inputs);
+      ASSERT_EQ(out.tuples.size(), expected.size())
+          << "seed " << seed << " batch " << b;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(out.tuples[i].key, expected[i].key);
+        EXPECT_EQ(out.tuples[i].value, expected[i].value);
+      }
+      ASSERT_EQ(rt.progress_vector(), ref_progress)
+          << "seed " << seed << " batch " << b;
+    }
+  }
+}
+
+int64_t RecountBuffered(const TaskRuntime& rt) {
+  int64_t total = 0;
+  for (const BatchOutput& b : rt.output_buffer()) {
+    total += static_cast<int64_t>(b.tuples.size());
+  }
+  return total;
+}
+
+TEST(TaskRuntimeTest, BufferedTuplesCountFollowsEveryBufferChange) {
+  Topology topo = MakeTinyChain();
+  const TaskId mid = topo.op(1).tasks[0];
+  auto make = [&] {
+    return std::make_unique<TaskRuntime>(
+        &topo, mid, std::make_unique<SlidingWindowAggregateOperator>(3, 1.0),
+        nullptr);
+  };
+  auto run = [](TaskRuntime* rt, int64_t b, bool emit = true) {
+    std::vector<Tuple> in;
+    for (int64_t i = 0; i <= b % 3; ++i) {
+      in.push_back(MakeTuples({{"x", b + i}}, 0, b)[0]);
+      in.back().seq = (static_cast<uint64_t>(b) << 24) + i;
+    }
+    rt->RunBatch(b, std::move(in), emit);
+  };
+  auto a = make();
+  for (int64_t b = 0; b < 4; ++b) {
+    run(a.get(), b);
+    EXPECT_EQ(a->BufferedTuples(), RecountBuffered(*a));
+  }
+  EXPECT_GT(a->BufferedTuples(), 0);
+  auto base = a->Snapshot();
+  ASSERT_TRUE(base.ok());
+  run(a.get(), 4, /*emit=*/false);
+  EXPECT_EQ(a->BufferedTuples(), RecountBuffered(*a));
+  run(a.get(), 5);
+  run(a.get(), 6);
+  a->TrimOutputBuffer(1);
+  EXPECT_EQ(a->BufferedTuples(), RecountBuffered(*a));
+  auto delta = a->SnapshotDelta();
+  ASSERT_TRUE(delta.ok());
+  a->TrimOutputBuffer(5);
+  EXPECT_EQ(a->BufferedTuples(), RecountBuffered(*a));
+
+  auto b = make();
+  run(b.get(), 0);
+  ASSERT_TRUE(b->Restore(*base).ok());
+  EXPECT_EQ(b->BufferedTuples(), RecountBuffered(*b));
+  ASSERT_TRUE(b->ApplyDelta(delta->blob).ok());
+  EXPECT_GT(b->BufferedTuples(), 0);
+  EXPECT_EQ(b->BufferedTuples(), RecountBuffered(*b));
+  b->Reset(7);
+  EXPECT_EQ(b->BufferedTuples(), 0);
+  EXPECT_EQ(b->BufferedTuples(), RecountBuffered(*b));
+  run(b.get(), 7);
+  EXPECT_EQ(b->BufferedTuples(), RecountBuffered(*b));
 }
 
 TEST(TaskRuntimeTest, FailureFlags) {
