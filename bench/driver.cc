@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/thread_pool.h"
+#include "report/experiment_report.h"
 
 namespace ppa {
 namespace bench {
@@ -105,13 +106,27 @@ exp::ProgressMeter* Driver::StartProgress(int total, std::string label) {
   return meter_.get();
 }
 
-void Driver::StampBenchReport(JsonValue* report,
-                              std::string_view suite) const {
-  report->Set("schema_version", kBenchSchemaVersion);
-  report->Set("suite", std::string(suite));
-  report->Set("commit", commit_);
-  report->Set("backend", backend_name());
-  report->Set("recovery_mode", recovery_mode_name());
+int Driver::PublishBenchReport(std::string_view suite, JsonValue body,
+                               const std::string& out_path) {
+  JsonValue report = JsonValue::Object();
+  report.Set("schema_version", kBenchSchemaVersion);
+  report.Set("suite", std::string(suite));
+  report.Set("commit", commit_);
+  report.Set("backend", backend_name());
+  report.Set("recovery_mode", recovery_mode_name());
+  report.Set("benchmark", std::string(suite));
+  for (const auto& [name, value] : body.members()) {
+    report.Set(name, value);
+  }
+  const Status written = WriteJsonFile(out_path, report);
+  if (!written.ok()) {
+    std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
+                 written.ToString().c_str());
+    return 1;
+  }
+  std::printf("report written to %s\n", out_path.c_str());
+  metrics_.Add(std::string(suite), std::move(report));
+  return Finish(suite);
 }
 
 exp::ParallelRunner& Driver::runner() {
@@ -128,6 +143,19 @@ int Driver::Finish(std::string_view benchmark) {
   ok = traces_.Write() && ok;
   ok = flight_.Write() && ok;
   return ok ? 0 : 1;
+}
+
+JsonValue BenchCell(JsonValue params, JsonValue counters,
+                    std::optional<double> wall_seconds) {
+  JsonValue cell = JsonValue::Object();
+  cell.Set("params", std::move(params));
+  cell.Set("counters", std::move(counters));
+  if (wall_seconds.has_value()) {
+    JsonValue wall = JsonValue::Object();
+    wall.Set("wall_seconds", *wall_seconds);
+    cell.Set("wall", std::move(wall));
+  }
+  return cell;
 }
 
 }  // namespace bench

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,12 +43,12 @@ namespace bench {
 ///                              read the environment)
 ///   --backend <sim|threads>    execution substrate for binaries that
 ///                              honour it (default sim). Stamped into
-///                              BENCH_*.json headers and cell keys so
+///                              BENCH_*.json headers and cell params so
 ///                              bench_diff never cross-compares backends.
 ///   --recovery_mode <ppa|approx|hybrid>
 ///                              recovery mode (src/af) for binaries that
 ///                              honour it (default ppa). Stamped into
-///                              BENCH_*.json headers and cell keys like
+///                              BENCH_*.json headers and cell params like
 ///                              --backend, so exact and approximate
 ///                              trajectories never cross-compare.
 class Driver {
@@ -74,7 +75,7 @@ class Driver {
   }
 
   /// The --backend value's flag spelling ("sim" / "threads") — the string
-  /// StampBenchReport writes and binaries suffix into cell keys.
+  /// PublishBenchReport writes and binaries put into cell params.
   [[nodiscard]] std::string backend_name() const {
     return backend::BackendKindToString(backend_);
   }
@@ -85,8 +86,8 @@ class Driver {
   }
 
   /// The --recovery_mode value's flag spelling ("ppa" / "approx" /
-  /// "hybrid") — the string StampBenchReport writes and binaries suffix
-  /// into cell keys.
+  /// "hybrid") — the string PublishBenchReport writes and binaries put
+  /// into cell params.
   [[nodiscard]] std::string recovery_mode_name() const {
     return std::string(af::RecoveryModeToString(recovery_mode_));
   }
@@ -97,17 +98,20 @@ class Driver {
     return backend::MakeBackend(backend_);
   }
 
-  /// Stamps the standard BENCH_*.json header onto a report so the perf
-  /// trajectory is machine-diffable across PRs: `schema_version` (bumped
-  /// only on incompatible shape changes), `suite` (the benchmark's
-  /// stable name), `commit` (from --commit), and `backend` (from
-  /// --backend — a sim report and a threads report are different
-  /// trajectories, never diffed against each other). Every BENCH_*.json
-  /// writer must call this before serializing.
-  void StampBenchReport(JsonValue* report, std::string_view suite) const;
+  /// Publishes a BENCH_*.json report so the perf trajectory is
+  /// machine-diffable across PRs. Writes the standard header —
+  /// `schema_version` (bumped only on incompatible shape changes),
+  /// `suite` (the benchmark's stable name), `commit` (from --commit),
+  /// `backend`, `recovery_mode` and `benchmark` — then `body`'s members,
+  /// to `out_path`; prints where; adds the report to the metrics sink.
+  /// Returns Finish(suite), or 1 when the report cannot be written.
+  [[nodiscard]] int PublishBenchReport(std::string_view suite,
+                                       JsonValue body,
+                                       const std::string& out_path);
 
-  /// The `schema_version` StampBenchReport writes.
-  static constexpr int kBenchSchemaVersion = 1;
+  /// The `schema_version` PublishBenchReport writes: each cell is a
+  /// BenchCell.
+  static constexpr int kBenchSchemaVersion = 2;
 
   /// Metrics sink (no-op unless --metrics_out was given).
   BenchMetricsSink& metrics() { return metrics_; }
@@ -161,6 +165,13 @@ class Driver {
   std::unique_ptr<exp::ProgressMeter> meter_;
   std::unique_ptr<exp::ParallelRunner> runner_;
 };
+
+/// One schema-v2 BENCH_*.json cell: what it was asked to run (`params`,
+/// bench_diff's cell key), every deterministic output (`counters`, gated
+/// exactly) and its measured cost (`wall`, left out when `wall_seconds`
+/// is empty, as in a --no_wall run).
+JsonValue BenchCell(JsonValue params, JsonValue counters,
+                    std::optional<double> wall_seconds);
 
 }  // namespace bench
 }  // namespace ppa

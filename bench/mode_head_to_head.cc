@@ -10,10 +10,9 @@
 //           fast-forwarding over the certified gap.
 //   hybrid  FtMode::kPpa + RecoveryMode::kHybrid: the planner-selected
 //           half stays exact behind active replicas; the rest thins.
-// Deterministic counters (events_processed, sink_records, recoveries,
-// checkpoint_bytes, checkpoints_skipped) gate the perf trajectory via
-// tools/bench_diff; recovery latency, fidelity floor, and certificate
-// stats are report-only context.
+// Every deterministic output — work and checkpoint counters, recovery
+// latency, fidelity floor and certificate stats — is a cell counter that
+// tools/bench_diff gates exactly; wall_seconds is the only wall member.
 //
 // Usage: mode_head_to_head [--out <file>] [--no_wall] [driver flags]
 //   --out <file>  where to write the JSON report
@@ -30,6 +29,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,7 +39,6 @@
 #include "bench/driver.h"
 #include "common/wall_clock.h"
 #include "planner/structure_aware_planner.h"
-#include "report/experiment_report.h"
 #include "runtime/streaming_job.h"
 #include "workloads/synthetic_recovery.h"
 
@@ -236,35 +235,28 @@ int main(int argc, char** argv) {
                 r.recovery_latency_s, r.min_output_fidelity,
                 static_cast<long long>(r.forfeited_records));
 
-    JsonValue entry = JsonValue::Object();
-    // The bench_diff cell key: recovery mode and backend partition the
-    // trajectories; intensity/rate/window identify the drill.
-    entry.Set("recovery_mode", std::string(spec.mode->label));
-    entry.Set("backend", driver.backend_name());
-    entry.Set("intensity", std::string(intensity));
-    entry.Set("rate", spec.rate);
-    entry.Set("window_batches", kWindowBatches);
-    // Deterministic counters (gate exactly in bench_diff).
-    entry.Set("events_processed", r.events_processed);
-    entry.Set("sink_records", r.sink_records);
-    entry.Set("recoveries", r.recoveries);
-    entry.Set("checkpoint_bytes", r.checkpoint_bytes);
-    entry.Set("checkpoints_skipped", r.checkpoints_skipped);
-    // Report-only context.
-    entry.Set("approx_recoveries", r.approx_recoveries);
-    entry.Set("forfeited_records", r.forfeited_records);
-    entry.Set("max_certified_loss", r.max_certified_loss);
-    entry.Set("recovery_latency_s", r.recovery_latency_s);
-    entry.Set("min_output_fidelity", r.min_output_fidelity);
-    if (!no_wall) {
-      entry.Set("wall_seconds", r.wall_seconds);
-      entry.Set("events_per_sec",
-                r.wall_seconds > 0
-                    ? static_cast<double>(r.events_processed) /
-                          r.wall_seconds
-                    : 0.0);
-    }
-    cell_array.Append(std::move(entry));
+    // Params: recovery mode and backend partition the trajectories;
+    // intensity/rate/window identify the drill.
+    JsonValue params = JsonValue::Object();
+    params.Set("recovery_mode", std::string(spec.mode->label));
+    params.Set("backend", driver.backend_name());
+    params.Set("intensity", std::string(intensity));
+    params.Set("rate", spec.rate);
+    params.Set("window_batches", kWindowBatches);
+    JsonValue counters = JsonValue::Object();
+    counters.Set("events_processed", r.events_processed);
+    counters.Set("sink_records", r.sink_records);
+    counters.Set("recoveries", r.recoveries);
+    counters.Set("checkpoint_bytes", r.checkpoint_bytes);
+    counters.Set("checkpoints_skipped", r.checkpoints_skipped);
+    counters.Set("approx_recoveries", r.approx_recoveries);
+    counters.Set("forfeited_records", r.forfeited_records);
+    counters.Set("max_certified_loss", r.max_certified_loss);
+    counters.Set("recovery_latency_s", r.recovery_latency_s);
+    counters.Set("min_output_fidelity", r.min_output_fidelity);
+    cell_array.Append(bench::BenchCell(
+        std::move(params), std::move(counters),
+        no_wall ? std::nullopt : std::optional<double>(r.wall_seconds)));
   }
   if (any_error) {
     std::fprintf(stderr, "mode_head_to_head: cell errors above\n");
@@ -298,18 +290,9 @@ int main(int argc, char** argv) {
   }
 
   JsonValue report = JsonValue::Object();
-  driver.StampBenchReport(&report, "mode_head_to_head");
-  report.Set("benchmark", std::string("mode_head_to_head"));
   report.Set("fail_at_seconds", kFailAtSeconds);
   report.Set("run_for_seconds", kRunForSeconds);
   report.Set("cells", std::move(cell_array));
-  const Status written = WriteJsonFile(out_path, report);
-  if (!written.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
-                 written.ToString().c_str());
-    return 1;
-  }
-  std::printf("report written to %s\n", out_path.c_str());
-  driver.metrics().Add("mode_head_to_head", std::move(report));
-  return driver.Finish("mode_head_to_head");
+  return driver.PublishBenchReport("mode_head_to_head", std::move(report),
+                                   out_path);
 }

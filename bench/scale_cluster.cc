@@ -3,10 +3,10 @@
 // the single-job engine (scale_service sweeps tenant count instead). Each
 // cell builds a src -> mid -> sink topology sized to the cluster, assigns
 // rack-style failure domains of 16 nodes, replicates every 8th mid task
-// (kPpa), kills domain 0 at t=10s, and runs to t=30s. Deterministic
-// counters (events_processed, sink_records, recoveries) gate the perf
-// trajectory via tools/bench_diff; wall metrics track simulator
-// throughput and are report-only.
+// (kPpa), kills domain 0 at t=10s, and runs to t=30s. The cell counters
+// (task and replica counts, events, sink records, recoveries) gate the
+// perf trajectory exactly via tools/bench_diff; wall_seconds tracks
+// simulator cost and is report-only.
 //
 // Usage: scale_cluster [--out <file>] [--no_wall] [shared driver flags]
 //   --out <file>  where to write the JSON report
@@ -18,8 +18,8 @@
 // The shared --backend flag selects the execution substrate: sim
 // (default) measures simulator throughput; threads runs the same cells on
 // the real worker-pool backend, so events/sec is genuine wall-clock
-// dispatch rate. The backend is part of every cell key, keeping the two
-// trajectories separate in bench_diff.
+// dispatch rate. The backend is one of every cell's params, keeping the
+// two trajectories separate in bench_diff.
 //
 // Cells run sequentially regardless of --jobs: each cell is wall-timed,
 // and concurrent cells would contend and skew each other's clocks.
@@ -28,6 +28,7 @@
 #include <cstring>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -36,7 +37,6 @@
 #include "common/wall_clock.h"
 #include "exp/run_spec.h"
 #include "obs/export.h"
-#include "report/experiment_report.h"
 #include "runtime/streaming_job.h"
 #include "topology/serialize.h"
 
@@ -188,46 +188,37 @@ int main(int argc, char** argv) {
                 static_cast<long long>(cell.events_processed),
                 events_per_sec, sim_wall_ratio, cell.wall_seconds);
 
-    JsonValue entry = JsonValue::Object();
-    // Part of the bench_diff cell key: a sim cell and a threads cell are
-    // different measurements and must never be diffed against each other;
-    // same for exact vs approximate recovery.
-    entry.Set("backend", driver.backend_name());
-    entry.Set("recovery_mode", driver.recovery_mode_name());
-    entry.Set("nodes", cell.nodes);
-    entry.Set("workers", cell.workers);
-    entry.Set("standby", cell.standby);
-    entry.Set("total_tasks", cell.total_tasks);
-    entry.Set("replicas", cell.replicas);
-    entry.Set("domains", cell.domains);
-    entry.Set("sim_seconds", kSimSeconds);
-    entry.Set("events_processed", cell.events_processed);
-    entry.Set("sink_records", cell.sink_records);
-    entry.Set("recoveries", cell.recoveries);
-    if (!no_wall) {
-      entry.Set("wall_seconds", cell.wall_seconds);
-      entry.Set("events_per_sec", events_per_sec);
-      entry.Set("sim_wall_ratio", sim_wall_ratio);
-    }
+    // Params: a sim cell and a threads cell are different measurements
+    // and must never be diffed against each other; same for exact vs
+    // approximate recovery.
+    JsonValue params = JsonValue::Object();
+    params.Set("backend", driver.backend_name());
+    params.Set("recovery_mode", driver.recovery_mode_name());
+    params.Set("nodes", cell.nodes);
+    params.Set("workers", cell.workers);
+    params.Set("standby", cell.standby);
+    params.Set("domains", cell.domains);
+    params.Set("sim_seconds", kSimSeconds);
+    JsonValue counters = JsonValue::Object();
+    counters.Set("total_tasks", cell.total_tasks);
+    counters.Set("replicas", cell.replicas);
+    counters.Set("events_processed", cell.events_processed);
+    counters.Set("sink_records", cell.sink_records);
+    counters.Set("recoveries", cell.recoveries);
+    JsonValue entry = bench::BenchCell(
+        std::move(params), std::move(counters),
+        no_wall ? std::nullopt : std::optional<double>(cell.wall_seconds));
+    // Context, never compared.
     entry.Set("hot_spans", std::move(cell.hot_spans));
     cells.Append(std::move(entry));
   }
 
   JsonValue report = JsonValue::Object();
-  driver.StampBenchReport(&report, "scale_cluster");
-  report.Set("benchmark", std::string("scale_cluster"));
   report.Set("sim_seconds", kSimSeconds);
   report.Set("failure_at_seconds", kFailureAtSeconds);
   report.Set("domain_size", kDomainSize);
   report.Set("replica_stride", kReplicaStride);
   report.Set("cells", std::move(cells));
-  const Status written = WriteJsonFile(out_path, report);
-  if (!written.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
-                 written.ToString().c_str());
-    return 1;
-  }
-  std::printf("report written to %s\n", out_path.c_str());
-  driver.metrics().Add("scale_cluster", std::move(report));
-  return driver.Finish("scale_cluster");
+  return driver.PublishBenchReport("scale_cluster", std::move(report),
+                                   out_path);
 }

@@ -8,6 +8,7 @@
 // Usage: scale_service [--out <file>] [shared driver flags]
 //   --out <file>  where to write the JSON report
 //                 (default BENCH_scale_service.json)
+// Tenants always recover with ppa: any other --recovery_mode exits 2.
 //
 // Cells run sequentially regardless of --jobs: each cell is wall-timed,
 // and concurrent cells would contend and skew each other's clocks.
@@ -21,7 +22,6 @@
 #include "backend/execution_backend.h"
 #include "bench/driver.h"
 #include "common/wall_clock.h"
-#include "report/experiment_report.h"
 #include "service/cluster_service.h"
 
 namespace {
@@ -114,6 +114,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (driver.recovery_mode() != af::RecoveryMode::kPpa) {
+    std::fprintf(stderr,
+                 "scale_service: --recovery_mode=%s is not supported; "
+                 "service tenants recover with ppa only\n",
+                 driver.recovery_mode_name().c_str());
+    return 2;
+  }
 
   const int tenant_counts[] = {1, 4, 16};
   const int task_counts[] = {3, 6};
@@ -138,37 +145,27 @@ int main(int argc, char** argv) {
                   static_cast<long long>(cell.events_processed),
                   events_per_sec, sim_wall_ratio, cell.wall_seconds);
 
-      JsonValue entry = JsonValue::Object();
-      // Part of the bench_diff cell key (see scale_cluster).
-      entry.Set("backend", driver.backend_name());
-      entry.Set("recovery_mode", driver.recovery_mode_name());
-      entry.Set("tenants", cell.tenants);
-      entry.Set("tasks_per_tenant", cell.tasks_per_tenant);
-      entry.Set("total_tasks", cell.tenants * cell.tasks_per_tenant);
-      entry.Set("sim_seconds", kSimSeconds);
-      entry.Set("events_processed", cell.events_processed);
-      entry.Set("sink_records", cell.sink_records);
-      entry.Set("recoveries", cell.recoveries);
-      entry.Set("wall_seconds", cell.wall_seconds);
-      entry.Set("events_per_sec", events_per_sec);
-      entry.Set("sim_wall_ratio", sim_wall_ratio);
-      cells.Append(std::move(entry));
+      // Params, as in scale_cluster.
+      JsonValue params = JsonValue::Object();
+      params.Set("backend", driver.backend_name());
+      params.Set("recovery_mode", driver.recovery_mode_name());
+      params.Set("tenants", cell.tenants);
+      params.Set("tasks_per_tenant", cell.tasks_per_tenant);
+      params.Set("sim_seconds", kSimSeconds);
+      JsonValue counters = JsonValue::Object();
+      counters.Set("total_tasks", cell.tenants * cell.tasks_per_tenant);
+      counters.Set("events_processed", cell.events_processed);
+      counters.Set("sink_records", cell.sink_records);
+      counters.Set("recoveries", cell.recoveries);
+      cells.Append(bench::BenchCell(std::move(params), std::move(counters),
+                                    cell.wall_seconds));
     }
   }
 
   JsonValue report = JsonValue::Object();
-  driver.StampBenchReport(&report, "scale_service");
-  report.Set("benchmark", std::string("scale_service"));
   report.Set("sim_seconds", kSimSeconds);
   report.Set("failure_at_seconds", kFailureAtSeconds);
   report.Set("cells", std::move(cells));
-  const Status written = WriteJsonFile(out_path, report);
-  if (!written.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
-                 written.ToString().c_str());
-    return 1;
-  }
-  std::printf("report written to %s\n", out_path.c_str());
-  driver.metrics().Add("scale_service", std::move(report));
-  return driver.Finish("scale_service");
+  return driver.PublishBenchReport("scale_service", std::move(report),
+                                   out_path);
 }

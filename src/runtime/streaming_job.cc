@@ -290,7 +290,7 @@ Status StreamingJob::Start() {
       ScheduleManaged(offset, [this, t] { OnCheckpoint(t); });
     }
   }
-  if (!active_set_.empty() || config_.ft_mode == FtMode::kNone ||
+  if (!replicas_.empty() || config_.ft_mode == FtMode::kNone ||
       config_.ft_mode == FtMode::kActiveReplication) {
     ScheduleManaged(config_.replica_sync_interval,
                     [this] { OnReplicaSync(); });
@@ -448,7 +448,6 @@ Status StreamingJob::ApplyActiveReplicaSet(const TaskSet& tasks) {
                       !primaries_[static_cast<size_t>(t)]->alive();
     if (!tasks.Contains(t) && !busy) {
       cluster_.RemoveReplica(t);
-      active_set_.Remove(t);
       trace_.Record(backend_->now(), obs::TraceEventKind::kReplicaDeactivated, t);
       obs::Add(m_replica_deactivations_);
       it = replicas_.erase(it);
@@ -463,7 +462,6 @@ Status StreamingJob::ApplyActiveReplicaSet(const TaskSet& tasks) {
       continue;
     }
     PPA_RETURN_IF_ERROR(ActivateReplica(t));
-    active_set_.Add(t);
   }
   Advance();  // New replicas catch up from the buffered outputs.
   return OkStatus();
@@ -754,7 +752,7 @@ bool StreamingJob::ApproxEligible(TaskId t) const {
       // Hybrid placement rule (DESIGN.md §17): tasks under the active
       // replica plan (the planner's high-weight picks) stay exact; the
       // rest run under the bounded-error contract.
-      return !active_set_.Contains(t) && replicas_.count(t) == 0;
+      return replicas_.count(t) == 0;
   }
   return false;
 }
@@ -1096,7 +1094,6 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
       // The placement follows the takeover: the standby node now hosts
       // the primary and its replica slot is free again.
       PPA_CHECK_OK(cluster_.PromoteReplicaToPrimary(t));
-      active_set_.Remove(t);
       if (checkpoints_.Chain(t) != nullptr) {
         // The new primary's snapshot marker dates from replica
         // activation, so its next delta could overlap slices the dead
@@ -1163,7 +1160,6 @@ void StreamingJob::CompleteRecovery(TaskId t, RecoveryKind kind) {
   if (stale != replicas_.end() && !stale->second->alive()) {
     replicas_.erase(stale);
     cluster_.RemoveReplica(t);
-    active_set_.Remove(t);
     trace_.Record(backend_->now(), obs::TraceEventKind::kReplicaDeactivated, t);
     obs::Add(m_replica_deactivations_);
   }

@@ -397,6 +397,8 @@ class StreamingJob {
 
   std::vector<OperatorFactory> op_factories_;
   std::vector<SourceFactory> source_factories_;
+  /// The replica plan SetActiveReplicaSet records and Start reads; after
+  /// Start the live replica set is the key set of replicas_.
   TaskSet active_set_;
 
   std::vector<std::unique_ptr<TaskRuntime>> primaries_;

@@ -1,6 +1,6 @@
 #include "tools/bench_diff/bench_diff.h"
 
-#include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -10,51 +10,12 @@ namespace ppa {
 namespace benchdiff {
 namespace {
 
-/// The deterministic counters: a pure function of the simulated run, so
-/// any change is a behavior change and gates exactly.
-constexpr const char* kCounters[] = {"events_processed", "sink_records",
-                                     "recoveries", "checkpoint_bytes",
-                                     "checkpoints_skipped"};
-
-/// The wall metrics with their bad direction: -1 means falling is bad
-/// (throughput-like), +1 means rising is bad (cost-like).
-struct WallMetric {
-  const char* name;
-  int bad_sign;
-};
-constexpr WallMetric kWallMetrics[] = {{"events_per_sec", -1},
-                                       {"sim_wall_ratio", -1},
-                                       {"wall_seconds", +1}};
-
-bool IsCounter(std::string_view name) {
-  for (const char* counter : kCounters) {
-    if (name == counter) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool IsWallMetric(std::string_view name) {
-  for (const WallMetric& metric : kWallMetrics) {
-    if (name == metric.name) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// The canonical key of a cell: every scalar member that is neither a
-/// counter nor a wall metric, in insertion order, as "name=value" pairs.
-/// Nested members (e.g. a hot_spans table) never identify a cell.
+/// The canonical key of a cell: its params, in insertion order, as
+/// "name=value" pairs.
 std::string CellKey(const JsonValue& cell) {
   std::ostringstream key;
   bool first = true;
-  for (const auto& [name, value] : cell.members()) {
-    if (IsCounter(name) || IsWallMetric(name) || value.is_object() ||
-        value.is_array()) {
-      continue;
-    }
+  for (const auto& [name, value] : cell.Find("params")->members()) {
     if (!first) {
       key << " ";
     }
@@ -81,11 +42,23 @@ std::string CommitOf(const JsonValue& report) {
   return commit != nullptr && commit->is_string() ? commit->AsString() : "";
 }
 
+bool IsObjectMember(const JsonValue& cell, std::string_view name) {
+  const JsonValue* member = cell.Find(name);
+  return member != nullptr && member->is_object();
+}
+
 StatusOr<const JsonValue*> CellsOf(const JsonValue& report,
                                    const char* which) {
   if (!report.is_object()) {
     return InvalidArgument(std::string(which) +
                            " report is not a JSON object");
+  }
+  const JsonValue* version = report.Find("schema_version");
+  if (version == nullptr || !version->is_number() ||
+      version->AsDouble() != kBenchSchemaVersion) {
+    return InvalidArgument(std::string(which) +
+                           " report is not schema_version " +
+                           std::to_string(kBenchSchemaVersion));
   }
   const JsonValue* cells = report.Find("cells");
   if (cells == nullptr || !cells->is_array()) {
@@ -93,77 +66,82 @@ StatusOr<const JsonValue*> CellsOf(const JsonValue& report,
                            " report has no \"cells\" array");
   }
   for (size_t i = 0; i < cells->size(); ++i) {
-    if (!cells->at(i).is_object()) {
+    const JsonValue& cell = cells->at(i);
+    const JsonValue* wall = cell.is_object() ? cell.Find("wall") : nullptr;
+    if (!cell.is_object() || !IsObjectMember(cell, "params") ||
+        !IsObjectMember(cell, "counters") ||
+        (wall != nullptr && !wall->is_object())) {
       return InvalidArgument(std::string(which) + " cell " +
-                             std::to_string(i) + " is not an object");
+                             std::to_string(i) +
+                             " is not {params, counters[, wall]} objects");
     }
   }
   return cells;
 }
 
-/// Compares one matched cell pair and appends its field deltas.
+double NumberOr0(const JsonValue* value) {
+  return value != nullptr && value->is_number() ? value->AsDouble() : 0.0;
+}
+
+/// Appends the delta of one field present on at least one side. A counter
+/// regresses when the sides differ as JSON values (or one is absent); a
+/// wall member when it rose beyond the tolerance.
+void AppendDelta(const std::string& key, const std::string& name,
+                 const JsonValue* old_value, const JsonValue* new_value,
+                 bool counter, const DiffOptions& options,
+                 DiffReport* report) {
+  FieldDelta delta;
+  delta.cell = key;
+  delta.field = name;
+  delta.deterministic = counter;
+  delta.baseline = NumberOr0(old_value);
+  delta.current = NumberOr0(new_value);
+  delta.rel_change = RelChange(delta.baseline, delta.current);
+  if (counter) {
+    delta.regression = old_value == nullptr || new_value == nullptr ||
+                       old_value->Serialize() != new_value->Serialize();
+    report->deterministic_mismatches += delta.regression ? 1 : 0;
+  } else {
+    delta.regression = delta.rel_change > options.wall_tolerance;
+    report->wall_regressions += delta.regression ? 1 : 0;
+  }
+  report->deltas.push_back(std::move(delta));
+}
+
+/// Compares one matched cell pair and appends its field deltas: every
+/// counter of either side, then every wall member both sides measured.
 void DiffCell(const std::string& key, const JsonValue& baseline,
               const JsonValue& current, const DiffOptions& options,
               DiffReport* report) {
-  for (const char* counter : kCounters) {
-    const JsonValue* old_value = baseline.Find(counter);
-    const JsonValue* new_value = current.Find(counter);
-    if (old_value == nullptr && new_value == nullptr) {
-      continue;
-    }
-    FieldDelta delta;
-    delta.cell = key;
-    delta.field = counter;
-    delta.deterministic = true;
-    // A counter present on one side only is itself a mismatch.
-    if (old_value == nullptr || new_value == nullptr ||
-        !old_value->is_number() || !new_value->is_number()) {
-      delta.baseline = old_value != nullptr && old_value->is_number()
-                           ? old_value->AsDouble()
-                           : 0.0;
-      delta.current = new_value != nullptr && new_value->is_number()
-                          ? new_value->AsDouble()
-                          : 0.0;
-      delta.regression = true;
-    } else {
-      delta.baseline = old_value->AsDouble();
-      delta.current = new_value->AsDouble();
-      delta.regression = old_value->AsInt() != new_value->AsInt();
-    }
-    delta.rel_change = RelChange(delta.baseline, delta.current);
-    if (delta.regression) {
-      ++report->deterministic_mismatches;
-    }
-    report->deltas.push_back(std::move(delta));
+  const JsonValue& old_counters = *baseline.Find("counters");
+  const JsonValue& new_counters = *current.Find("counters");
+  for (const auto& [name, value] : old_counters.members()) {
+    AppendDelta(key, name, &value, new_counters.Find(name), true, options,
+                report);
   }
-  for (const WallMetric& metric : kWallMetrics) {
-    const JsonValue* old_value = baseline.Find(metric.name);
-    const JsonValue* new_value = current.Find(metric.name);
-    // Wall metrics are optional (--no_wall runs omit them): compare only
-    // when both sides measured.
-    if (old_value == nullptr || new_value == nullptr ||
-        !old_value->is_number() || !new_value->is_number()) {
-      continue;
+  for (const auto& [name, value] : new_counters.members()) {
+    if (old_counters.Find(name) == nullptr) {
+      AppendDelta(key, name, nullptr, &value, true, options, report);
     }
-    FieldDelta delta;
-    delta.cell = key;
-    delta.field = metric.name;
-    delta.baseline = old_value->AsDouble();
-    delta.current = new_value->AsDouble();
-    delta.rel_change = RelChange(delta.baseline, delta.current);
-    delta.regression =
-        metric.bad_sign * delta.rel_change > options.wall_tolerance;
-    if (delta.regression) {
-      ++report->wall_regressions;
+  }
+  // The wall group is optional (a --no_wall run omits it).
+  const JsonValue* old_wall = baseline.Find("wall");
+  const JsonValue* new_wall = current.Find("wall");
+  if (old_wall == nullptr || new_wall == nullptr) {
+    return;
+  }
+  for (const auto& [name, value] : old_wall->members()) {
+    if (const JsonValue* measured = new_wall->Find(name)) {
+      AppendDelta(key, name, &value, measured, false, options, report);
     }
-    report->deltas.push_back(std::move(delta));
   }
 }
 
 std::string FormatValue(const FieldDelta& delta, double value) {
   char buf[64];
   if (delta.deterministic) {
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
+    // Shortest round-trip form: 0.6 prints as 0.6, 117714920 in full.
+    *std::to_chars(buf, buf + sizeof(buf) - 1, value).ptr = '\0';
   } else {
     std::snprintf(buf, sizeof(buf), "%.4g", value);
   }

@@ -10,12 +10,17 @@
 namespace ppa {
 namespace benchdiff {
 
-/// Comparison knobs. Deterministic counters always gate exactly; wall
-/// metrics are report-only unless `fail_on_wall` is set, since wall time
-/// depends on the machine the benchmark ran on.
+/// The BENCH_*.json `schema_version` this tool reads (bench::Driver
+/// writes it). A v2 cell is {"params": {...}, "counters": {...},
+/// "wall": {...}}; any other member is context and never compared.
+inline constexpr int kBenchSchemaVersion = 2;
+
+/// Comparison knobs. Counters always gate exactly; wall members are
+/// report-only unless `fail_on_wall` is set, since wall time depends on
+/// the machine the benchmark ran on.
 struct DiffOptions {
-  /// Maximum tolerated relative change of a wall metric in its bad
-  /// direction (0.25 = 25%). Improvements never count as regressions.
+  /// Maximum tolerated relative rise of a wall member (0.25 = 25%); every
+  /// wall member is a cost, so a fall never counts as a regression.
   double wall_tolerance = 0.25;
   /// Make wall-metric regressions fail the gate too.
   bool fail_on_wall = false;
@@ -23,19 +28,20 @@ struct DiffOptions {
 
 /// One compared field of one matched cell.
 struct FieldDelta {
-  /// Canonical cell key, e.g. "nodes=256 workers=192 total_tasks=...".
+  /// Canonical cell key: the cell's params, e.g. "nodes=256 workers=192".
   std::string cell;
   std::string field;
+  /// The numeric values (0 for a counter absent or non-numeric on that
+  /// side).
   double baseline = 0.0;
   double current = 0.0;
   /// (current - baseline) / baseline; 0 when baseline is 0 and current
   /// is too, ±1 when baseline is 0 and current is not.
   double rel_change = 0.0;
-  /// True for the exact-equality counters (events_processed,
-  /// sink_records, recoveries), false for wall metrics.
+  /// True for a member of the cell's `counters`, false for `wall`.
   bool deterministic = false;
-  /// Counter mismatch, or wall metric beyond tolerance in its bad
-  /// direction.
+  /// Counter not equal as a JSON value (or present on one side only), or
+  /// wall member risen beyond tolerance.
   bool regression = false;
 };
 
@@ -68,14 +74,12 @@ struct DiffReport {
   }
 };
 
-/// Diffs two benchmark reports cell by cell. Cells match when their key
-/// members — every scalar member that is neither a deterministic counter
-/// nor a wall metric (e.g. nodes, tenants, sim_seconds) — are equal.
-/// Counters must be exactly equal; wall metrics are compared against
-/// `options.wall_tolerance` in their bad direction (events_per_sec and
-/// sim_wall_ratio falling, wall_seconds rising) and skipped when absent
-/// on either side (e.g. a --no_wall run). Fails on malformed reports
-/// (no "cells" array, non-object cells, duplicate cell keys).
+/// Diffs two schema-v2 benchmark reports cell by cell. Cells match when
+/// their `params` are equal. Every member of `counters` must be an equal
+/// JSON value on both sides; every `wall` member both sides measured is
+/// compared against `options.wall_tolerance` (a --no_wall run has no
+/// wall group). Fails on malformed reports (not schema v2, no "cells"
+/// array, a cell without `params`/`counters` objects, duplicate keys).
 [[nodiscard]] StatusOr<DiffReport> DiffBenchReports(
     const JsonValue& baseline, const JsonValue& current,
     const DiffOptions& options);

@@ -1,9 +1,9 @@
 // bench_diff: the perf-trajectory regression gate (DESIGN.md §15).
-// Compares two BENCH_*.json reports cell by cell: deterministic counters
-// (events_processed, sink_records, recoveries) must match exactly; wall
-// metrics (events_per_sec, sim_wall_ratio, wall_seconds) are checked
-// against a relative tolerance in their bad direction and are report-only
-// unless --fail_on_wall. Prints a markdown delta table to stdout.
+// Compares two schema-v2 BENCH_*.json reports cell by cell, matching
+// cells on their `params`: every member of a cell's `counters` must be
+// equal; every `wall` member is a cost checked against a relative
+// tolerance and is report-only unless --fail_on_wall. Prints a markdown
+// delta table to stdout.
 //
 // Usage:
 //   bench_diff [options] <baseline.json> <current.json>
@@ -15,7 +15,8 @@
 //
 // Exit code: 0 when the gate passes, 1 when it fails (counter mismatch,
 // unmatched cells, or — with --fail_on_wall — a wall regression), 2 on
-// usage or parse errors.
+// usage, parse or schema errors (not schema v2, a cell without
+// params/counters).
 
 #include <cstdio>
 #include <cstring>
